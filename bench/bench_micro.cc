@@ -9,7 +9,6 @@
 
 #include "core/cluster_types.h"
 #include "core/grid.h"
-#include "index/kd_interval_tree.h"
 #include "index/rtree.h"
 #include "index/spatial_index.h"
 #include "net/multicast.h"
@@ -82,27 +81,6 @@ void BM_RTreeStab(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RTreeStab)->Arg(1000)->Arg(5000);
-
-void BM_KdTreeStab(benchmark::State& state) {
-  Rng rng(5);
-  const Scenario s = MakeStockScenario(static_cast<int>(state.range(0)),
-                                       PublicationHotSpots::kOne, 5);
-  KdIntervalTree tree;
-  const Rect domain = s.workload.space.domain_rect();
-  for (std::size_t i = 0; i < s.workload.subscribers.size(); ++i)
-    tree.insert(s.workload.subscribers[i].interest.intersection(domain),
-                static_cast<int>(i));
-  std::vector<Publication> pubs;
-  for (int i = 0; i < 256; ++i) pubs.push_back(s.pub->sample(rng));
-  std::vector<int> out;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    out.clear();
-    tree.stab(pubs[i++ % pubs.size()].point, out);
-    benchmark::DoNotOptimize(out.size());
-  }
-}
-BENCHMARK(BM_KdTreeStab)->Arg(1000)->Arg(5000);
 
 void BM_LinearStab(benchmark::State& state) {
   Rng rng(9);

@@ -76,13 +76,7 @@ Broker::Broker(RestoreTag, const BrokerSnapshot& snapshot,
   clock_ = clock;
   seq_ = snapshot.seq;
   seed_stats(snapshot.stats);
-  // v3 snapshots carry the covering table verbatim; older ones (or an
-  // empty table) rebuild it from the workload — same observable behavior,
-  // the canonical ascending bootstrap yields the same maximal index set.
-  if (snapshot.covering.entries.empty())
-    bootstrap_index();
-  else
-    restore_index(snapshot.covering);
+  restore_index(snapshot.covering);
   update_derived_gauges();
   checkpoint_ = snapshot;
 }

@@ -39,7 +39,6 @@
 #include <string>
 #include <vector>
 
-#include "broker/clock.h"
 #include "broker/refresh_policy.h"
 #include "broker/types.h"
 #include "core/covering.h"
@@ -48,6 +47,7 @@
 #include "index/slab_index.h"
 #include "io/file.h"
 #include "io/string_stream.h"
+#include "obs/clock.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/delivery_runtime.h"

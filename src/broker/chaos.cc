@@ -7,10 +7,8 @@
 #include <utility>
 
 #include "broker/replica.h"
-#include "index/paged_rtree.h"
-#include "index/rtree.h"
+#include "broker/snapshot_file.h"
 #include "io/serialize.h"
-#include "storage/buffer_pool.h"
 #include "storage/storage_manager.h"
 #include "util/failpoint.h"
 #include "util/rng.h"
@@ -416,54 +414,8 @@ std::string FormatChaosReport(const ChaosReport& r) {
 // ---------------------------------------------------------------------------
 // Real-filesystem storage chaos
 
-namespace {
-
-constexpr std::size_t kStorageFanout = 8;
-
-// Deterministic rect/probe workload for the drill (independent of the
-// broker trace machinery — the unit under test is the storage tier).
-struct StorageWorkload {
-  std::vector<std::pair<Rect, int>> rects;
-  std::vector<Point> points;
-  std::vector<Rect> windows;
-};
-
-StorageWorkload MakeStorageWorkload(const StorageChaosOptions& opts) {
-  Rng rng(opts.seed);
-  StorageWorkload w;
-  w.rects.reserve(opts.num_rects);
-  for (std::size_t i = 0; i < opts.num_rects; ++i) {
-    std::vector<Interval> ivals;
-    ivals.reserve(opts.dims);
-    for (std::size_t d = 0; d < opts.dims; ++d) {
-      const double lo = rng.uniform(0.0, 100.0);
-      ivals.emplace_back(lo, lo + rng.uniform(0.1, 20.0));
-    }
-    w.rects.emplace_back(Rect(std::move(ivals)), static_cast<int>(i));
-  }
-  for (std::size_t q = 0; q < opts.queries; ++q) {
-    Point p(opts.dims);
-    for (std::size_t d = 0; d < opts.dims; ++d) p[d] = rng.uniform(0.0, 110.0);
-    w.points.push_back(std::move(p));
-    std::vector<Interval> ivals;
-    ivals.reserve(opts.dims);
-    for (std::size_t d = 0; d < opts.dims; ++d) {
-      const double lo = rng.uniform(0.0, 100.0);
-      ivals.emplace_back(lo, lo + rng.uniform(0.1, 30.0));
-    }
-    w.windows.emplace_back(std::move(ivals));
-  }
-  return w;
-}
-
-// Exact element-wise equality — the bit-identity bar, not set equality.
-bool SameIds(const std::vector<int>& a, const std::vector<int>& b) {
-  return a == b;
-}
-
-}  // namespace
-
-StorageChaosReport RunStorageChaos(const StorageChaosOptions& opts) {
+StorageChaosReport RunStorageChaos(const Broker& broker,
+                                   const StorageChaosOptions& opts) {
   namespace fs = std::filesystem;
   if (opts.dir.empty()) {
     throw std::invalid_argument("RunStorageChaos: opts.dir must be set");
@@ -472,88 +424,74 @@ StorageChaosReport RunStorageChaos(const StorageChaosOptions& opts) {
   FailPoints& fp = FailPoints::Instance();
   fp.clear();
 
-  const StorageWorkload w = MakeStorageWorkload(opts);
+  std::ostringstream ref_os;
+  broker.write_snapshot(ref_os);
+  const std::string reference = ref_os.str();
 
-  // In-memory reference: the plain RTree over the same insert history.
-  RTree ref(kStorageFanout);
-  for (const auto& [rect, id] : w.rects) ref.insert(rect, id);
-
-  const fs::path good = fs::path(opts.dir) / "storage_chaos.pagefile";
-  const fs::path tmp = fs::path(opts.dir) / "storage_chaos.pagefile.tmp";
+  const std::string good =
+      (fs::path(opts.dir) / "storage_chaos.snapshot").string();
+  const std::string tmp = good + ".tmp";  // SaveSnapshotPageFile's temp path
+  const std::string torn = good + ".torn";
   std::error_code ec;
   fs::remove(good, ec);
   fs::remove(tmp, ec);
 
-  DiskStorageManager::Options so;
-  so.page_size = opts.page_size;
-  BufferPool::Options po;
-  po.capacity = opts.buffer_pages;
-
   StorageChaosReport rep;
 
-  // Build a full tree into the temp path and sync it; any injected fault
-  // propagates out with the temp file abandoned (the atomic-replace
-  // protocol: a file is a tree only after a clean build + rename).
-  const auto build_tmp = [&]() {
-    auto sm = DiskStorageManager::Create(tmp.string(), so);
-    BufferPool pool(sm.get(), po);
-    PagedRTree tree(&pool, opts.dims, kStorageFanout);
-    for (const auto& [rect, id] : w.rects) tree.insert(rect, id);
-    tree.sync();
-  };
-  const auto commit_tmp = [&]() {
-    fs::rename(tmp, good);  // atomic replace, as io/serialize SaveToFileAtomic
+  const auto save = [&] {
+    return SaveSnapshotPageFile(good, broker, opts.page_size,
+                                opts.buffer_pages);
   };
 
-  // Query parity against the reference.  Returns true if every probe
-  // answered and matched; a StorageError (torn/CRC/read fault) aborts the
-  // pass and reports which outcome occurred via `detected`.
-  const auto parity = [&](const fs::path& file, bool* detected) -> bool {
-    bool all_match = true;
+  // Read `file` back and compare its re-serialization with the reference.
+  // Where a fault is expected (`detected` set), a StorageError or a clipped
+  // tail is a typed detection, not a parity verdict; on a clean read any
+  // StorageError is itself a mismatch.
+  const auto parity = [&](const std::string& file, bool* detected) {
+    std::size_t clipped = 0;
+    BrokerSnapshot back;
     try {
-      DiskStorageManager::OpenReport openrep;
-      auto sm = DiskStorageManager::Open(file.string(), so, &openrep);
-      if (openrep.clipped_pages > 0 && detected != nullptr) *detected = true;
-      BufferPool pool(sm.get(), po);
-      PagedRTree tree = PagedRTree::Open(&pool);
-      for (const Point& p : w.points)
-        all_match = all_match && SameIds(tree.stab(p), ref.stab(p));
-      for (const Rect& r : w.windows) {
-        all_match = all_match && SameIds(tree.intersecting(r), ref.intersecting(r));
-        all_match = all_match && SameIds(tree.containing(r), ref.containing(r));
-      }
+      back = LoadSnapshotPageFile(file, opts.buffer_pages, nullptr, &clipped);
     } catch (const StorageError&) {
-      if (detected != nullptr) *detected = true;
-      return true;  // typed detection, not a parity verdict
+      if (detected == nullptr)
+        ++rep.parity_mismatches;
+      else
+        *detected = true;
+      return;
     }
+    if (clipped > 0 && detected != nullptr) *detected = true;
+    std::ostringstream os;
+    WriteBrokerSnapshot(os, back);
     ++rep.parity_checks;
-    if (!all_match) ++rep.parity_mismatches;
-    return all_match;
+    if (os.str() != reference) ++rep.parity_mismatches;
   };
 
-  // Bootstrap: one clean build committed as the good file.
-  build_tmp();
-  commit_tmp();
+  // Bootstrap: one clean save committed as the good file.
+  const std::int64_t pages = save().pages;
   parity(good, nullptr);
 
+  // Fault offsets are drawn below the blob's page count, so every armed
+  // fault fires: a save writes the header, each blob page, then the header
+  // again, and a read-back reads each blob page once.
   Rng chaos(opts.chaos_seed);
+  const auto below_pages = [&] {
+    return std::to_string(chaos.uniform_int(0, pages - 1));
+  };
   for (std::size_t cycle = 0; cycle < opts.cycles; ++cycle) {
     ++rep.cycles;
     const std::size_t mode = cycle % 7;
     switch (mode) {
-      case 0:    // crash mid-build: temp abandoned, good file must survive
-      case 1: {  // torn page write mid-build: same recovery protocol
-        const std::size_t skip =
-            static_cast<std::size_t>(chaos.uniform_int(0, 300));
-        const std::size_t arg = static_cast<std::size_t>(
-            chaos.uniform_int(0, opts.page_size - 1));
+      case 0:    // crash mid-save: temp abandoned, good file must survive
+      case 1: {  // torn page write mid-save: same recovery protocol
+        const std::string skip = below_pages();
+        const std::string arg =
+            std::to_string(chaos.uniform_int(0, opts.page_size - 1));
         fp.configure(mode == 0
-                         ? "storage.page.write=crash*1^" + std::to_string(skip)
-                         : "storage.page.write=torn:" + std::to_string(arg) +
-                               "*1^" + std::to_string(skip));
+                         ? "storage.page.write=crash*1^" + skip
+                         : "storage.page.write=torn:" + arg + "*1^" + skip);
         bool crashed = false;
         try {
-          build_tmp();
+          save();
         } catch (const InjectedCrash&) {
           crashed = true;
         }
@@ -561,93 +499,80 @@ StorageChaosReport RunStorageChaos(const StorageChaosOptions& opts) {
         if (crashed) {
           ++rep.crashes;
           ++rep.faults_by_site["storage.page.write"];
-          fs::remove(tmp, ec);
-          build_tmp();  // recovery: rebuild from the source of truth
-          ++rep.rebuilds;
+          parity(good, nullptr);  // the lost save left the good file alone
+          save();  // recovery: save again from the source of truth
+          ++rep.resaves;
         }
-        commit_tmp();
         parity(good, nullptr);
         break;
       }
       case 2: {  // short page write: the retry loop must absorb it
-        const std::size_t skip =
-            static_cast<std::size_t>(chaos.uniform_int(0, 300));
-        const std::size_t arg = static_cast<std::size_t>(
-            chaos.uniform_int(0, opts.page_size - 1));
-        fp.configure("storage.page.write=error:" + std::to_string(arg) +
-                     "*1^" + std::to_string(skip));
-        build_tmp();  // must succeed despite the injected short write
+        const std::string skip = below_pages();
+        const std::string arg =
+            std::to_string(chaos.uniform_int(0, opts.page_size - 1));
+        fp.configure("storage.page.write=error:" + arg + "*1^" + skip);
+        save();  // must succeed despite the injected short write
         if (fp.fired("storage.page.write") > 0) {
           ++rep.short_writes;
           ++rep.faults_by_site["storage.page.write"];
         }
         fp.clear();
-        commit_tmp();
         parity(good, nullptr);
         break;
       }
       case 3: {  // single flush failure: healed by one backoff retry
         fp.configure("storage.flush=error*1");
-        build_tmp();
+        save();
         if (fp.fired("storage.flush") > 0) {
           ++rep.flush_retries;
           ++rep.faults_by_site["storage.flush"];
         }
         fp.clear();
-        commit_tmp();
         parity(good, nullptr);
         break;
       }
-      case 4: {  // persistent flush failure: degraded mode, then recovery
-        auto sm = DiskStorageManager::Create(tmp.string(), so);
-        {
-          BufferPool pool(sm.get(), po);
-          PagedRTree tree(&pool, opts.dims, kStorageFanout);
-          for (const auto& [rect, id] : w.rects) tree.insert(rect, id);
-          fp.configure("storage.flush=error*100");
-          bool degraded = false;
-          try {
-            tree.sync();
-          } catch (const StorageDegradedError&) {
-            degraded = true;
-          }
-          fp.clear();
-          if (degraded) {
-            ++rep.degraded_entries;
-            ++rep.faults_by_site["storage.flush"];
-            if (!sm->clear_degraded()) ++rep.parity_mismatches;  // must heal
-            tree.sync();  // finish the interrupted durability point
-          }
+      case 4: {  // persistent flush failure at the save's durability point
+                 // (past the temp file's creation): degraded, save abandoned
+        fp.configure("storage.flush=error*100^1");
+        bool degraded = false;
+        try {
+          save();
+        } catch (const StorageDegradedError&) {
+          degraded = true;
         }
-        sm.reset();
-        commit_tmp();
+        fp.clear();
+        if (degraded) {
+          ++rep.degraded_entries;
+          ++rep.faults_by_site["storage.flush"];
+          parity(good, nullptr);
+          save();
+          ++rep.resaves;
+        }
         parity(good, nullptr);
         break;
       }
-      case 5: {  // injected read error during queries on the good file
-        const std::size_t skip =
-            static_cast<std::size_t>(chaos.uniform_int(0, 200));
-        fp.configure("storage.page.read=error*1^" + std::to_string(skip));
+      case 5: {  // injected read error while reading the good file back
+        fp.configure("storage.page.read=error*1^" + below_pages());
         bool detected = false;
         parity(good, &detected);
-        if (fp.fired("storage.page.read") > 0) {
+        if (detected) {
           ++rep.read_errors;
           ++rep.faults_by_site["storage.page.read"];
         }
         fp.clear();
-        parity(good, nullptr);  // clean re-run must be bit-identical
+        parity(good, nullptr);  // clean re-read must be bit-identical
         break;
       }
       default: {  // physical torn tail: truncate a copy at a random offset
-        fs::copy_file(good, tmp, fs::copy_options::overwrite_existing);
-        const std::uint64_t size = fs::file_size(tmp);
+        fs::copy_file(good, torn, fs::copy_options::overwrite_existing);
+        const std::uint64_t size = fs::file_size(torn);
         const std::uint64_t cut = static_cast<std::uint64_t>(
             chaos.uniform_int(0, static_cast<std::int64_t>(size - 1)));
-        fs::resize_file(tmp, cut);
+        fs::resize_file(torn, cut);
         bool detected = false;
-        parity(tmp, &detected);
+        parity(torn, &detected);
         if (detected) ++rep.torn_tails;
-        fs::remove(tmp, ec);
+        fs::remove(torn, ec);
         break;
       }
     }
@@ -662,14 +587,14 @@ StorageChaosReport RunStorageChaos(const StorageChaosOptions& opts) {
 std::string FormatStorageChaosReport(const StorageChaosReport& r) {
   std::ostringstream os;
   os << "storage cycles    " << r.cycles << "\n"
-     << "crashes survived  " << r.crashes << " (" << r.rebuilds
-     << " rebuilds)\n"
+     << "crashes survived  " << r.crashes << "\n"
      << "short writes      " << r.short_writes << " healed by retry\n"
      << "flush retries     " << r.flush_retries << " healed by backoff\n"
-     << "degraded rounds   " << r.degraded_entries
-     << " (degrade -> clear -> resume)\n"
+     << "degraded saves    " << r.degraded_entries
+     << " abandoned, previous file kept\n"
+     << "re-saves          " << r.resaves << " after a lost save\n"
      << "read errors       " << r.read_errors << " surfaced as typed errors\n"
-     << "torn tails        " << r.torn_tails << " detected at reopen\n"
+     << "torn tails        " << r.torn_tails << " detected at read\n"
      << "parity checks     " << r.parity_checks << " ("
      << r.parity_mismatches << " mismatches)\n";
   os << "faults by site\n";

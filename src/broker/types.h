@@ -62,7 +62,7 @@ struct BrokerStats {
   std::uint64_t journal_bytes = 0;  // serialized size of the record stream
   std::uint64_t snapshot_bytes = 0;   // size of the bootstrap snapshot
   std::uint64_t replayed_records = 0; // journal tail applied at recovery
-  // Durability block (snapshot format v2; see docs/OPERATIONS.md).
+  // Durability block (see docs/OPERATIONS.md).
   std::uint64_t journal_flush_failures = 0;  // flush attempts that failed
   std::uint64_t journal_flush_retries = 0;   // backoff retries performed
   std::uint64_t degraded_entries = 0;        // times degraded mode engaged
@@ -88,8 +88,7 @@ struct BrokerSnapshot {
   // DeliveryRuntime per-node queue state (earliest idle time).
   std::vector<double> queue_state;
   BrokerStats stats;
-  // Covering-table image at capture (snapshot format v3; empty when the
-  // snapshot predates covering — restore then rebuilds it from `workload`).
+  // Covering-table image at capture, adopted verbatim on restore.
   CoveringState covering;
 };
 

@@ -5,6 +5,13 @@
 #include <vector>
 
 namespace pubsub {
+namespace {
+
+// MacQueen re-balancing passes per unbudgeted warm refresh (§4.2's "a
+// number of re-balancing iterations").
+constexpr std::size_t kRebalancePasses = 5;
+
+}  // namespace
 
 GroupManager::GroupManager(Workload workload, const PublicationModel& pub,
                            const GroupManagerOptions& options)
@@ -65,9 +72,6 @@ void GroupManager::init_metrics() {
   c_kmeans_closure_fallbacks_ =
       m->counter("kmeans_closure_fallbacks_total",
                  "cell decisions that fell back to the exact group scan");
-  c_kmeans_oracle_mismatches_ =
-      m->counter("kmeans_oracle_mismatches_total",
-                 "closure verdicts overruled by the exact scan (oracle mode)");
   g_refresh_incomplete_ =
       m->gauge("groups_refresh_incomplete",
                "1 while the last budgeted refresh has re-balancing left");
@@ -146,8 +150,6 @@ void GroupManager::rebuild(bool warm, bool allow_budget) {
   KMeansOptions kopt;
   kopt.variant = options_.variant;
   kopt.closure = options_.closure;
-  kopt.closure_seed_groups = options_.closure_seed_groups;
-  kopt.closure_oracle = options_.closure_oracle;
   std::vector<std::vector<int>> neighbors;
   if (options_.closure) {
     neighbors = new_grid->cluster_neighbors(cells.size());
@@ -184,7 +186,7 @@ void GroupManager::rebuild(bool warm, bool allow_budget) {
     // With a refresh budget the budget governs per-call work and the pass
     // sequence runs to its natural fixpoint across resumes; the fixed
     // warm-pass cap applies only to legacy (unbudgeted) refreshes.
-    if (!kopt.resumable) kopt.max_iterations = options_.rebalance_passes;
+    if (!kopt.resumable) kopt.max_iterations = kRebalancePasses;
   }
 
   const KMeansResult result = KMeansCluster(cells, options_.num_groups, kopt);
@@ -195,7 +197,6 @@ void GroupManager::rebuild(bool warm, bool allow_budget) {
   Inc(c_kmeans_cell_visits_, result.cell_visits);
   Inc(c_kmeans_closure_hits_, result.closure_hits);
   Inc(c_kmeans_closure_fallbacks_, result.closure_fallbacks);
-  Inc(c_kmeans_oracle_mismatches_, result.oracle_mismatches);
   Set(g_refresh_incomplete_, refresh_incomplete_ ? 1.0 : 0.0);
 
   grid_ = std::move(new_grid);

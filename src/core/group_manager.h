@@ -50,27 +50,21 @@ struct GroupManagerOptions {
   std::size_t num_groups = 100;
   std::size_t max_cells = 6000;
   KMeansVariant variant = KMeansVariant::kMacQueen;
-  // Re-balancing passes per warm refresh.
-  std::size_t rebalance_passes = 5;
   // Fall back to cold re-clustering when more than this fraction of the
   // population churned since the last full build.
   double full_rebuild_fraction = 0.5;
   double matcher_threshold = 0.0;
   // Closure-accelerated assignment (core/kmeans.h): candidate groups come
   // from grid adjacency instead of a full K-scan, with exact-scan
-  // fallback.  `closure_oracle` runs the exact scan alongside every
-  // closure decision and uses its verdict (bit-identical output, mismatch
-  // counting) — a diagnostics mode.
+  // fallback.
   bool closure = false;
-  std::size_t closure_seed_groups = 4;
-  bool closure_oracle = false;
   // Budgeted refresh: caps the k-means work of one refresh() call and
   // switches the iteration to resumable mode — a refresh that exhausts its
   // budget reports refresh_incomplete(), and the next refresh resumes from
   // the assignment left behind (warm inheritance carries it over), so
   // re-clustering is amortized across calls.  When limited, it replaces
-  // the `rebalance_passes` warm cap; the budgeted pass sequence runs to
-  // the same fixpoint a single uncapped call would reach.
+  // the fixed five-pass warm cap; the budgeted pass sequence runs to the
+  // same fixpoint a single uncapped call would reach.
   KMeansBudget refresh_budget;
   // Telemetry sink (nullable).  The manager publishes churn/refresh
   // gauges + counters here and hands the registry to every matcher it
@@ -157,7 +151,6 @@ class GroupManager {
   Counter* c_kmeans_cell_visits_ = nullptr;
   Counter* c_kmeans_closure_hits_ = nullptr;
   Counter* c_kmeans_closure_fallbacks_ = nullptr;
-  Counter* c_kmeans_oracle_mismatches_ = nullptr;
   Gauge* g_refresh_incomplete_ = nullptr;
   Gauge* g_pending_churn_ = nullptr;
   Gauge* g_churn_since_full_ = nullptr;

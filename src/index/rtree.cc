@@ -5,15 +5,117 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
-
-#include "index/rtree_split.h"
+#include <vector>
 
 namespace pubsub {
+namespace {
 
-using rtree_detail::CheckInsertable;
-using rtree_detail::Enlargement;
-using rtree_detail::Measure;
-using rtree_detail::QuadraticSplit;
+// Volume-based measure used for enlargement decisions.  Rectangles here are
+// finite and non-empty, so volume is positive and finite.
+inline double Measure(const Rect& r) { return r.volume(); }
+
+inline double Enlargement(const Rect& mbr, const Rect& r) {
+  return Measure(mbr.hull(r)) - Measure(mbr);
+}
+
+inline void CheckInsertable(const Rect& r) {
+  if (r.empty()) throw std::invalid_argument("RTree: empty rectangle");
+  for (const Interval& iv : r.intervals()) {
+    if (!std::isfinite(iv.lo()) || !std::isfinite(iv.hi()))
+      throw std::invalid_argument("RTree: unbounded rectangle");
+  }
+}
+
+// Quadratic split (Guttman): distribute `items` into two groups.  RectOf
+// extracts the bounding rectangle of an item.
+template <typename Item, typename RectOf>
+void QuadraticSplit(std::vector<Item>& items, std::vector<Item>& out_a,
+                    std::vector<Item>& out_b, std::size_t min_fill, RectOf rect_of) {
+  assert(items.size() >= 2);
+
+  // Seed selection: the pair wasting the most area if grouped together.
+  std::size_t seed_a = 0, seed_b = 1;
+  double worst = -std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    for (std::size_t j = i + 1; j < items.size(); ++j) {
+      const double waste = Measure(rect_of(items[i]).hull(rect_of(items[j]))) -
+                           Measure(rect_of(items[i])) - Measure(rect_of(items[j]));
+      if (waste > worst) {
+        worst = waste;
+        seed_a = i;
+        seed_b = j;
+      }
+    }
+  }
+
+  Rect mbr_a = rect_of(items[seed_a]);
+  Rect mbr_b = rect_of(items[seed_b]);
+  out_a.push_back(std::move(items[seed_a]));
+  out_b.push_back(std::move(items[seed_b]));
+
+  std::vector<Item> rest;
+  rest.reserve(items.size() - 2);
+  for (std::size_t i = 0; i < items.size(); ++i)
+    if (i != seed_a && i != seed_b) rest.push_back(std::move(items[i]));
+  items.clear();
+
+  while (!rest.empty()) {
+    // If one group must take everything left to reach min fill, do so.
+    if (out_a.size() + rest.size() == min_fill) {
+      for (Item& it : rest) {
+        mbr_a = mbr_a.hull(rect_of(it));
+        out_a.push_back(std::move(it));
+      }
+      break;
+    }
+    if (out_b.size() + rest.size() == min_fill) {
+      for (Item& it : rest) {
+        mbr_b = mbr_b.hull(rect_of(it));
+        out_b.push_back(std::move(it));
+      }
+      break;
+    }
+
+    // Pick the item with the strongest group preference.
+    std::size_t best = 0;
+    double best_diff = -1.0;
+    double best_da = 0, best_db = 0;
+    for (std::size_t i = 0; i < rest.size(); ++i) {
+      const double da = Enlargement(mbr_a, rect_of(rest[i]));
+      const double db = Enlargement(mbr_b, rect_of(rest[i]));
+      const double diff = std::abs(da - db);
+      if (diff > best_diff) {
+        best_diff = diff;
+        best = i;
+        best_da = da;
+        best_db = db;
+      }
+    }
+    Item it = std::move(rest[best]);
+    rest.erase(rest.begin() + static_cast<std::ptrdiff_t>(best));
+
+    const bool to_a = best_da < best_db ||
+                      (best_da == best_db && out_a.size() <= out_b.size());
+    if (to_a) {
+      mbr_a = mbr_a.hull(rect_of(it));
+      out_a.push_back(std::move(it));
+    } else {
+      mbr_b = mbr_b.hull(rect_of(it));
+      out_b.push_back(std::move(it));
+    }
+  }
+}
+
+// Sort-Tile-Recursive slab arithmetic.
+inline std::size_t StrSlabCount(std::size_t n, std::size_t max_entries,
+                                std::size_t dims, std::size_t dim) {
+  const double pages =
+      std::ceil(static_cast<double>(n) / static_cast<double>(max_entries));
+  return static_cast<std::size_t>(std::max(
+      1.0, std::ceil(std::pow(pages, 1.0 / static_cast<double>(dims - dim)))));
+}
+
+}  // namespace
 
 struct RTree::Node {
   struct LeafEntry {
@@ -217,7 +319,7 @@ RTree RTree::BulkLoad(std::vector<std::pair<Rect, int>> items, std::size_t max_e
     std::sort(begin, end, [&](const auto& a, const auto& b) {
       return center(a.first, dim) < center(b.first, dim);
     });
-    const std::size_t slabs = rtree_detail::StrSlabCount(n, max_entries, dims, dim);
+    const std::size_t slabs = StrSlabCount(n, max_entries, dims, dim);
     const std::size_t slab_size = (n + slabs - 1) / slabs;
     for (Iter it = begin; it < end;) {
       const std::size_t take = std::min<std::size_t>(slab_size, static_cast<std::size_t>(end - it));

@@ -331,13 +331,8 @@ ClusteringFile ReadClustering(std::istream& is) {
 
 namespace {
 
-// Counter fields in snapshot `stats` line order.  Keep in sync with
-// BrokerStats; the format version guards the field list.  v1 files carry
-// the first 15 fields; v2 appends the durability/degradation counters.
-constexpr std::size_t kNumStatFieldsV1 = 15;
-constexpr std::size_t kNumStatFieldsV2 = 19;
-
-// Pointers to the stats fields in serialized order (v1 prefix first).
+// Pointers to the stats fields in snapshot `stats` line order.  Keep in
+// sync with BrokerStats; the format version guards the field list.
 std::vector<std::uint64_t*> StatFields(BrokerStats& s) {
   return {&s.commands_applied,   &s.subscribes,
           &s.unsubscribes,       &s.updates,
@@ -465,19 +460,9 @@ void WriteBrokerSnapshot(std::ostream& os, const BrokerSnapshot& snap) {
 
 BrokerSnapshot ReadBrokerSnapshot(std::istream& is) {
   BrokerSnapshot snap;
-  bool has_covering = true;
   {
     LineReader r(is);
-    const std::string header = r.next();
-    std::size_t num_stat_fields = kNumStatFieldsV2;
-    if (header == "pubsub-broker-snapshot v1") {
-      num_stat_fields = kNumStatFieldsV1;  // back-compat: pre-durability file
-      has_covering = false;
-    } else if (header == "pubsub-broker-snapshot v2") {
-      has_covering = false;  // back-compat: pre-covering file
-    } else if (header != "pubsub-broker-snapshot v3") {
-      r.fail("expected 'pubsub-broker-snapshot v3', got '" + header + "'");
-    }
+    r.expect(r.next(), "pubsub-broker-snapshot v3");
     const auto seq_line = SplitN(r, r.next(), 2);
     if (seq_line[0] != "seq") r.fail("expected 'seq'");
     snap.seq = ParseCount(r, seq_line[1]);
@@ -486,10 +471,10 @@ BrokerSnapshot ReadBrokerSnapshot(std::istream& is) {
       r.fail("expected 'churn-since-full-build'");
     snap.churn_since_full_build = ParseCount(r, churn_line[1]);
 
-    const auto stats = SplitN(r, r.next(), 1 + num_stat_fields);
-    if (stats[0] != "stats") r.fail("expected 'stats'");
     const std::vector<std::uint64_t*> fields = StatFields(snap.stats);
-    for (std::size_t i = 0; i < num_stat_fields; ++i)
+    const auto stats = SplitN(r, r.next(), 1 + fields.size());
+    if (stats[0] != "stats") r.fail("expected 'stats'");
+    for (std::size_t i = 0; i < fields.size(); ++i)
       *fields[i] = ParseCount(r, stats[i + 1]);
 
     const auto queue_line = SplitN(r, r.next(), 2);
@@ -510,8 +495,7 @@ BrokerSnapshot ReadBrokerSnapshot(std::istream& is) {
   snap.num_groups = c.num_groups;
   snap.cells_fed = c.cells_fed;
   snap.assignment = c.assignment;
-  if (has_covering)
-    snap.covering = ReadCovering(is, snap.workload.space.dims());
+  snap.covering = ReadCovering(is, snap.workload.space.dims());
   return snap;
 }
 

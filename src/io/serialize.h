@@ -61,10 +61,8 @@ CoveringState ReadCovering(std::istream& is, std::size_t dims);
 
 // Snapshot: the full recovery image of broker/broker.h, captured at a
 // refresh boundary (embeds the workload, clustering and covering records
-// above).  Current format is v3 (appends the covering-table image); the
-// reader also accepts v2 (pre-covering; restore rebuilds the table from
-// the workload) and v1 (additionally pre-durability, zero-filling those
-// stats fields).
+// above).  The format is v3, which carries the covering-table image; the
+// reader rejects any other version as a bad header.
 void WriteBrokerSnapshot(std::ostream& os, const BrokerSnapshot& snap);
 BrokerSnapshot ReadBrokerSnapshot(std::istream& is);
 

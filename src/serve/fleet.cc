@@ -422,7 +422,6 @@ FleetPublishOutcome BrokerFleet::fan_out_publish(const JournalRecord& rec) {
   word_lo_ = words_.size();
   word_hi_ = 0;
   pending_shards_matched_ = 0;
-  pending_refreshed_ = false;
 
   // Slow-shard drill: evaluated on the serial path (one eval per publish,
   // so *COUNT/^SKIP schedules stay deterministic under any --threads) and
@@ -487,7 +486,6 @@ FleetPublishOutcome BrokerFleet::fan_out_publish(const JournalRecord& rec) {
       continue;
     }
     shard_seq_[k] += 1;
-    if (fan_outcomes_[k].refreshed) pending_refreshed_ = true;
     if (!fan_outcomes_[k].interested_set.empty()) ++pending_shards_matched_;
     scatter(k, fan_outcomes_[k].interested_set);
   }
@@ -547,7 +545,6 @@ FleetPublishOutcome BrokerFleet::finish_publish(const JournalRecord& rec) {
   out.seq = seq_;
   out.interested = std::span<const SubscriberId>(merged_);
   out.shards_matched = pending_shards_matched_;
-  out.refreshed = pending_refreshed_;
   if (cur_trace_id_ != 0)
     trace_.record({cur_trace_id_, rec.seq, -1, PublishStage::kFleetDeliver,
                    merge_end, trace_clock_->now_ms() - merge_end});

@@ -88,7 +88,6 @@ struct FleetPublishOutcome {
   std::uint64_t seq = 0;
   std::span<const SubscriberId> interested;  // merged global ids, ascending
   std::size_t shards_matched = 0;  // shards contributing >= 1 subscriber
-  bool refreshed = false;          // any shard re-clustered on this command
 };
 
 // Clone-pattern state transfer for one shard: the shard's refresh-boundary
@@ -293,12 +292,11 @@ class BrokerFleet {
   std::uint64_t match_chain_ = 0;
 
   // Pending-record bookkeeping while stalled on a degraded shard (the
-  // matched/refreshed tallies accumulate across the stall and the heal).
+  // matched tally accumulates across the stall and the heal).
   bool pending_active_ = false;
   JournalRecord pending_rec_;
   std::vector<char> pending_applied_;
   std::size_t pending_shards_matched_ = 0;
-  bool pending_refreshed_ = false;
 
   // Fan-out + merge working memory, reused per publish.
   std::vector<JournalRecord> fan_recs_;

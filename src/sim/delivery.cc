@@ -1,11 +1,12 @@
 #include "sim/delivery.h"
 
 #include <stdexcept>
+#include <string>
 
 namespace pubsub {
 
 DeliverySimulator::DeliverySimulator(const Graph& network, const Workload& wl)
-    : network_(&network), workload_(&wl), pruner_(network) {
+    : network_(&network), workload_(&wl), scratch_(network) {
   const Rect domain = wl.space.domain_rect();
   std::vector<std::pair<Rect, int>> items;
   items.reserve(wl.subscribers.size());
@@ -38,15 +39,29 @@ const DistanceMatrix& DeliverySimulator::distances() {
   return *dm_;
 }
 
-std::vector<NodeId>& DeliverySimulator::nodes_of(std::span<const SubscriberId> subs) {
-  node_scratch_.clear();
+const ShortestPathTree& DeliverySimulator::cached_spt(NodeId origin) const {
+  const auto it = spt_cache_.find(origin);
+  if (it == spt_cache_.end())
+    throw std::logic_error("DeliverySimulator: SPT of origin " +
+                           std::to_string(origin) + " not warmed");
+  return it->second;
+}
+
+const DistanceMatrix& DeliverySimulator::cached_distances() const {
+  if (!dm_) throw std::logic_error("DeliverySimulator: distance matrix not warmed");
+  return *dm_;
+}
+
+std::vector<NodeId>& DeliverySimulator::nodes_of(std::span<const SubscriberId> subs,
+                                                 std::vector<NodeId>& out) const {
+  out.clear();
   for (const SubscriberId s : subs)
-    node_scratch_.push_back(workload_->subscribers[static_cast<std::size_t>(s)].node);
-  return node_scratch_;
+    out.push_back(workload_->subscribers[static_cast<std::size_t>(s)].node);
+  return out;
 }
 
 double DeliverySimulator::unicast_cost(NodeId origin, std::span<const SubscriberId> subs) {
-  return UnicastCost(spt(origin), nodes_of(subs));
+  return UnicastCost(spt(origin), nodes_of(subs, scratch_.nodes));
 }
 
 double DeliverySimulator::broadcast_cost(NodeId origin) {
@@ -54,26 +69,49 @@ double DeliverySimulator::broadcast_cost(NodeId origin) {
 }
 
 double DeliverySimulator::ideal_cost(NodeId origin, std::span<const SubscriberId> subs) {
-  return pruner_.cost(spt(origin), nodes_of(subs));
+  return scratch_.pruner.cost(spt(origin), nodes_of(subs, scratch_.nodes));
 }
 
 double DeliverySimulator::ideal_cost_applevel(NodeId origin,
                                               std::span<const SubscriberId> subs) {
-  return AppLevelMulticastCost(distances(), origin, nodes_of(subs));
+  return AppLevelMulticastCost(distances(), origin, nodes_of(subs, scratch_.nodes));
 }
 
 double DeliverySimulator::clustered_cost_network(NodeId origin, const MatchDecision& d) {
-  double cost = 0.0;
-  if (d.group_id >= 0) cost += pruner_.cost(spt(origin), nodes_of(d.group_members));
-  if (!d.unicast_targets.empty()) cost += UnicastCost(spt(origin), nodes_of(d.unicast_targets));
-  return cost;
+  if (d.group_id >= 0 || !d.unicast_targets.empty()) spt(origin);
+  return clustered_cost_network(origin, d, scratch_);
 }
 
 double DeliverySimulator::clustered_cost_applevel(NodeId origin, const MatchDecision& d) {
+  if (d.group_id >= 0) distances();
+  if (!d.unicast_targets.empty()) spt(origin);
+  return clustered_cost_applevel(origin, d, scratch_);
+}
+
+void DeliverySimulator::warm_clustered_costs(std::span<const NodeId> origins,
+                                             bool applevel) {
+  for (const NodeId origin : origins) spt(origin);
+  if (applevel) distances();
+}
+
+double DeliverySimulator::clustered_cost_network(NodeId origin, const MatchDecision& d,
+                                                 CostScratch& scratch) const {
   double cost = 0.0;
   if (d.group_id >= 0)
-    cost += AppLevelMulticastCost(distances(), origin, nodes_of(d.group_members));
-  if (!d.unicast_targets.empty()) cost += UnicastCost(spt(origin), nodes_of(d.unicast_targets));
+    cost += scratch.pruner.cost(cached_spt(origin), nodes_of(d.group_members, scratch.nodes));
+  if (!d.unicast_targets.empty())
+    cost += UnicastCost(cached_spt(origin), nodes_of(d.unicast_targets, scratch.nodes));
+  return cost;
+}
+
+double DeliverySimulator::clustered_cost_applevel(NodeId origin, const MatchDecision& d,
+                                                  CostScratch& scratch) const {
+  double cost = 0.0;
+  if (d.group_id >= 0)
+    cost += AppLevelMulticastCost(cached_distances(), origin,
+                                  nodes_of(d.group_members, scratch.nodes));
+  if (!d.unicast_targets.empty())
+    cost += UnicastCost(cached_spt(origin), nodes_of(d.unicast_targets, scratch.nodes));
   return cost;
 }
 

@@ -37,6 +37,7 @@ class DeliverySimulator {
  public:
   DeliverySimulator(const Graph& network, const Workload& wl);
 
+  const Graph& network() const { return *network_; }
   const Workload& workload() const { return *workload_; }
 
   // Exact interested subscribers for an event (R-tree stabbing query, in
@@ -66,6 +67,23 @@ class DeliverySimulator {
   // App-level equivalent of ideal multicast (for completeness/metrics).
   double ideal_cost_applevel(NodeId origin, std::span<const SubscriberId> subs);
 
+  // Batch flavour of the two clustered costs: the same values, but the
+  // simulator is only read — caches must be warmed first with
+  // warm_clustered_costs() — and the mutable state lives in `scratch`, so
+  // threads holding distinct scratch may call these at once.
+  struct CostScratch {
+    explicit CostScratch(const Graph& network) : pruner(network) {}
+    PrunedSptCost pruner;
+    std::vector<NodeId> nodes;
+  };
+  // Caches the SPT of every origin in `origins` and, when `applevel`, the
+  // distance matrix.
+  void warm_clustered_costs(std::span<const NodeId> origins, bool applevel);
+  double clustered_cost_network(NodeId origin, const MatchDecision& d,
+                                CostScratch& scratch) const;
+  double clustered_cost_applevel(NodeId origin, const MatchDecision& d,
+                                 CostScratch& scratch) const;
+
   // Number of group members not interested in the event — the realized
   // waste of one delivery (0 for no-loss groups).
   static std::size_t wasted_deliveries(const MatchDecision& d,
@@ -74,16 +92,20 @@ class DeliverySimulator {
  private:
   const ShortestPathTree& spt(NodeId origin);
   const DistanceMatrix& distances();
-  std::vector<NodeId>& nodes_of(std::span<const SubscriberId> subs);
+  // Cache reads for the const cost paths; throw std::logic_error if the
+  // entry was never warmed.
+  const ShortestPathTree& cached_spt(NodeId origin) const;
+  const DistanceMatrix& cached_distances() const;
+  std::vector<NodeId>& nodes_of(std::span<const SubscriberId> subs,
+                                std::vector<NodeId>& out) const;
 
   const Graph* network_;
   const Workload* workload_;
   RTree sub_index_;
   SlabIndex slab_index_;
-  PrunedSptCost pruner_;
   std::unordered_map<NodeId, ShortestPathTree> spt_cache_;
   std::unique_ptr<DistanceMatrix> dm_;  // built on first app-level query
-  std::vector<NodeId> node_scratch_;
+  CostScratch scratch_;                 // for the serial (non-const) calls
 };
 
 }  // namespace pubsub

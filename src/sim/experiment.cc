@@ -1,5 +1,7 @@
 #include "sim/experiment.h"
 
+#include <algorithm>
+#include <atomic>
 #include <deque>
 #include <mutex>
 
@@ -12,6 +14,10 @@ namespace {
 // (one stab + a few comparisons), so without a floor an 8-lane split of a
 // small batch pays more in wakeups than it saves in work.
 constexpr std::size_t kMatchGrain = 256;
+// Events per block claimed by a lane in the cost fan-out.  One event
+// costs a pruned-SPT walk plus an MST over the group's nodes — hundreds of
+// matches — so small blocks already amortize the claim.
+constexpr std::size_t kCostBlock = 16;
 }  // namespace
 
 std::vector<EventSample> SampleEvents(const DeliverySimulator& sim,
@@ -59,9 +65,17 @@ ClusteredCosts EvaluateMatcher(DeliverySimulator& sim,
   // into a chunk-local pool before moving on.  Slot writes to `metas` are a
   // pure per-index map and the chunk pools are append-only within a chunk,
   // so the per-event content is identical for any thread count or grain.
-  // Phase 2 (serial, event order): cost accumulation — the simulator caches
-  // shortest-path trees, and summing doubles in a fixed order keeps the
-  // totals bit-identical.
+  // Phase 2 (parallel): per-event costs into per-index slots.  The
+  // simulator's caches are warmed serially first — every origin's SPT, and
+  // the distance matrix only if some decision multicasts, as the lazy
+  // serial path would — so the cost calls only read the simulator.  Lanes
+  // claim blocks of events from a shared cursor rather than owning a fixed
+  // chunk, so a lane the OS deschedules stalls the join by one block, not
+  // by its whole share.  Which lane computes an event cannot change its
+  // value (each lane owns its scratch), so the slots are schedule-free.
+  // Phase 3 (serial, event order): summing the slots in event order adds
+  // the same doubles in the same order as a serial loop, so the totals are
+  // bit-identical for any thread count.
   struct Meta {
     int group_id = -1;
     std::span<const SubscriberId> group_members;  // stable: points into matcher
@@ -96,20 +110,55 @@ ClusteredCosts EvaluateMatcher(DeliverySimulator& sim,
       },
       /*min_parallel=*/16, kMatchGrain);
 
+  std::vector<NodeId> origins;
+  origins.reserve(events.size());
+  bool any_multicast = false;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    origins.push_back(events[i].pub.origin);
+    any_multicast = any_multicast || metas[i].group_id >= 0;
+  }
+  sim.warm_clustered_costs(origins, any_multicast);
+
+  struct EventCost {
+    double network = 0.0;
+    double applevel = 0.0;
+    std::size_t wasted = 0;
+  };
+  std::vector<EventCost> costs(events.size());
+  const std::size_t lanes =
+      std::min(static_cast<std::size_t>(ThreadPool::global().num_threads()),
+               (events.size() + kCostBlock - 1) / kCostBlock);
+  std::atomic<std::size_t> cursor{0};
+  ParallelFor(lanes, [&](std::size_t) {
+    DeliverySimulator::CostScratch scratch(sim.network());
+    for (;;) {
+      const std::size_t begin =
+          cursor.fetch_add(kCostBlock, std::memory_order_relaxed);
+      if (begin >= events.size()) break;
+      const std::size_t end = std::min(begin + kCostBlock, events.size());
+      for (std::size_t i = begin; i < end; ++i) {
+        const EventSample& e = events[i];
+        const Meta& m = metas[i];
+        MatchDecision d;
+        d.group_id = m.group_id;
+        d.group_members = m.group_members;
+        d.unicast_targets = std::span<const SubscriberId>(*m.pool).subspan(
+            m.uni_off, m.uni_len);
+        EventCost& c = costs[i];
+        c.network = sim.clustered_cost_network(e.pub.origin, d, scratch);
+        c.applevel = sim.clustered_cost_applevel(e.pub.origin, d, scratch);
+        c.wasted = DeliverySimulator::wasted_deliveries(d, e.interested);
+      }
+    }
+  });
+
   ClusteredCosts out;
   for (std::size_t i = 0; i < events.size(); ++i) {
-    const EventSample& e = events[i];
-    const Meta& m = metas[i];
-    MatchDecision d;
-    d.group_id = m.group_id;
-    d.group_members = m.group_members;
-    d.unicast_targets =
-        std::span<const SubscriberId>(*m.pool).subspan(m.uni_off, m.uni_len);
-    out.network += sim.clustered_cost_network(e.pub.origin, d);
-    out.applevel += sim.clustered_cost_applevel(e.pub.origin, d);
-    if (d.group_id >= 0) {
+    out.network += costs[i].network;
+    out.applevel += costs[i].applevel;
+    if (metas[i].group_id >= 0) {
       ++out.multicast_events;
-      out.wasted_deliveries += DeliverySimulator::wasted_deliveries(d, e.interested);
+      out.wasted_deliveries += costs[i].wasted;
     } else {
       ++out.unicast_events;
     }

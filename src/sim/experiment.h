@@ -58,11 +58,12 @@ struct ClusteredCosts {
 using MatchFn =
     std::function<MatchDecision(const Point&, std::span<const SubscriberId>)>;
 
-// Match decisions are computed in a batch over ThreadPool::global() (cost
-// accumulation stays serial and in event order, so totals are
-// bit-identical for any thread count).  When the global pool has more than
-// one thread, `match` must be safe to invoke concurrently — the built-in
-// matchers are; a stateful custom lambda is only safe at --threads=1.
+// Match decisions and per-event costs are computed in a batch over
+// ThreadPool::global() (the per-event costs are summed serially and in
+// event order, so totals are bit-identical for any thread count).  When the
+// global pool has more than one thread, `match` must be safe to invoke
+// concurrently — the built-in matchers are; a stateful custom lambda is
+// only safe at --threads=1.
 ClusteredCosts EvaluateMatcher(DeliverySimulator& sim,
                                std::span<const EventSample> events,
                                const MatchFn& match);

@@ -10,7 +10,7 @@
 //   * When every frame is pinned and a miss needs a frame, pin() throws
 //     BufferPoolExhaustedError — loudly, never a deadlock or silent grow.
 //     Callers size --buffer-pages above their worst-case simultaneous pins
-//     (the paged R-tree needs at most 2: one node plus one split sibling).
+//     (the blob streams need 1).
 //   * allocate() reserves a page id in storage and installs a zeroed frame
 //     for it, pinned and dirty; the page reaches storage at eviction or
 //     flush(), not before.

@@ -1,15 +1,11 @@
 // Fixed-width little-endian field codecs for page payloads.
 //
 // Page files are an interchange format (snapshots move between hosts), so
-// integers and doubles are pinned to little-endian byte order rather than
-// memcpy'd in host order.  Doubles are bit-copied — never formatted — so a
-// rectangle round-trips through a page bit-exactly (the mem-vs-disk oracle
-// in tests/test_paged_rtree.cc depends on this).
+// integers are pinned to little-endian byte order rather than memcpy'd in
+// host order.
 #pragma once
 
-#include <bit>
 #include <cstdint>
-#include <cstring>
 
 namespace pubsub::storage {
 
@@ -27,24 +23,6 @@ inline std::uint32_t GetU32(const char* p) {
          (static_cast<std::uint32_t>(b[1]) << 8) |
          (static_cast<std::uint32_t>(b[2]) << 16) |
          (static_cast<std::uint32_t>(b[3]) << 24);
-}
-
-inline void PutU64(char* p, std::uint64_t v) {
-  PutU32(p, static_cast<std::uint32_t>(v));
-  PutU32(p + 4, static_cast<std::uint32_t>(v >> 32));
-}
-
-inline std::uint64_t GetU64(const char* p) {
-  return static_cast<std::uint64_t>(GetU32(p)) |
-         (static_cast<std::uint64_t>(GetU32(p + 4)) << 32);
-}
-
-inline void PutF64(char* p, double v) {
-  PutU64(p, std::bit_cast<std::uint64_t>(v));
-}
-
-inline double GetF64(const char* p) {
-  return std::bit_cast<double>(GetU64(p));
 }
 
 }  // namespace pubsub::storage

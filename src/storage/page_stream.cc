@@ -50,7 +50,9 @@ bool ParseBlobMeta(const std::string& meta, PageBlob* out) {
 // ---------------------------------------------------------------------------
 // PageBlobWriter
 
-PageBlobWriter::PageBlobWriter(BufferPool* pool) : buf_(pool), out_(&buf_) {}
+PageBlobWriter::PageBlobWriter(BufferPool* pool) : buf_(pool), out_(&buf_) {
+  out_.exceptions(std::ios::badbit);  // rethrow storage faults, typed
+}
 
 PageBlobWriter::~PageBlobWriter() = default;
 
@@ -150,7 +152,9 @@ PageBlobReader::PageBlobReader(BufferPool* pool)
     : PageBlobReader(pool, BlobFromMeta(pool)) {}
 
 PageBlobReader::PageBlobReader(BufferPool* pool, const PageBlob& blob)
-    : blob_(blob), buf_(pool, blob), in_(&buf_) {}
+    : blob_(blob), buf_(pool, blob), in_(&buf_) {
+  in_.exceptions(std::ios::badbit);  // rethrow storage faults, typed
+}
 
 PageBlobReader::Buf::Buf(BufferPool* pool, const PageBlob& blob)
     : pool_(pool), blob_(blob), next_(blob.head), remaining_(blob.bytes) {

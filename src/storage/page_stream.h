@@ -6,7 +6,10 @@
 // an arbitrary serialized artifact — the broker snapshot path routes
 // WriteBrokerSnapshot/ReadBrokerSnapshot through these adapters, which is
 // what lets Broker::Recover stream pages on demand instead of slurping the
-// whole file: the std::istream pulls one page per underflow.
+// whole file: the std::istream pulls one page per underflow.  Both streams
+// rethrow a storage fault raised under them (StorageError, InjectedCrash,
+// ...) instead of swallowing it into badbit, so a damaged page file fails
+// with its typed error rather than as a parse error further up.
 #pragma once
 
 #include <cstdint>

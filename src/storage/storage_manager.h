@@ -1,12 +1,11 @@
 // Paged storage seam: a page store behind a narrow allocate/read/write/flush
-// interface (docs/STORAGE.md; ROADMAP item 3).
+// interface (docs/STORAGE.md).
 //
 // The design reproduces the classic spatial-index storage split — a
 // `DiskStorageManager` / `MemoryStorageManager` pair behind one interface,
-// fronted by a buffer pool — so an index built of fixed-size pages can run
-// entirely in RAM (tests, oracles) or against a real file (beyond-RAM
-// subscription sets, streaming cold-start recovery) with no change above
-// the seam.
+// fronted by a buffer pool — so a structure built of fixed-size pages can
+// run entirely in RAM (tests) or against a real file (snapshot page files,
+// streaming cold-start recovery) with no change above the seam.
 //
 // Page files are self-describing: page 0 is a header (magic, version,
 // geometry, free-list head, owner metadata string) and every page — header
@@ -44,8 +43,7 @@ inline constexpr PageId kNoPage = 0xFFFFFFFFu;
 // catching misdirected reads).  The usable payload is page_size - overhead.
 inline constexpr std::uint32_t kPageOverhead = 8;
 // Owner metadata capacity in the header page (a short free-form text line:
-// the paged R-tree stores its root/size/height here, the snapshot page file
-// its blob head and byte length).
+// the snapshot page file stores its blob head and byte length here).
 inline constexpr std::uint32_t kMetaCapacity = 512;
 // Smallest supported page (the header fields + metadata must fit with room
 // to spare for a useful payload).
@@ -133,9 +131,8 @@ class StorageManager {
 };
 
 // Page store backed by process memory.  Same interface, same free-list
-// discipline and id assignment as the disk manager, so an index built
-// against one is structurally identical against the other (the mem-vs-disk
-// bit-identity oracle in tests/test_paged_rtree.cc).  Never degrades and
+// discipline and id assignment as the disk manager, so a page structure
+// built against one is identical against the other.  Never degrades and
 // consults no fail points.
 class MemoryStorageManager final : public StorageManager {
  public:

@@ -231,7 +231,7 @@ std::vector<CliCommand> BuildCommands() {
             "promote.journal_handoff (0 = skip)"},
            {"shards", "N", "fleet shards for the promotion cycles (3)"},
            {"storage-dir", "PATH",
-            "also run the paged-storage drill in this directory when "
+            "also run the snapshot page-file drill in this directory when "
             "--storage=disk"},
            {"storage-cycles", "N", "storage-drill fault cycles (40)"},
            {"modes", "1|4|9", "stock-model publication hot spots (1)"},

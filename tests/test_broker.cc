@@ -620,9 +620,8 @@ TEST(Broker, UnknownChurnTargetRejectedWithoutDesync) {
                std::out_of_range);
 }
 
-// Snapshot format v3 embeds the covering table verbatim; a pre-covering
-// (v2) snapshot restores by rebuilding the table from the workload.  Both
-// paths must land on the same state as the live broker.
+// Snapshot format v3 embeds the covering table verbatim; restoring it must
+// land on the same state as the live broker.
 TEST(Broker, SnapshotRoundTripRestoresCoveringTable) {
   BrokerFixture f;
   ManualClock clock;
@@ -639,13 +638,6 @@ TEST(Broker, SnapshotRoundTripRestoresCoveringTable) {
   const auto restored = Broker::Recover(back, {}, *f.scenario.pub,
                                         f.scenario.net.graph, f.SmallOptions());
   EXPECT_EQ(restored->state_digest(), broker.state_digest());
-
-  // Legacy image: drop the covering section as a v2 reader would.
-  BrokerSnapshot legacy = back;
-  legacy.covering = CoveringState();
-  const auto rebuilt = Broker::Recover(legacy, {}, *f.scenario.pub,
-                                       f.scenario.net.graph, f.SmallOptions());
-  EXPECT_EQ(rebuilt->state_digest(), broker.state_digest());
 }
 
 // --- fault injection & graceful degradation -------------------------------

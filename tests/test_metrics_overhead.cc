@@ -1,11 +1,12 @@
 // CI guard for the telemetry tentpole's overhead budget: publish throughput
 // with the metrics registry enabled must stay within 5% of a run with the
-// registry's master switch off.  Wall-clock based, so it takes the min over
-// interleaved trials and is skipped under sanitizers (instrumentation skews
-// relative timings far beyond the budget).
+// registry's master switch off.  Wall-clock based, so the two arms are
+// timed as interleaved pairs (see below) and the test is skipped under
+// sanitizers (instrumentation skews relative timings far beyond the budget).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "broker/broker.h"
@@ -43,33 +44,51 @@ TEST(MetricsOverhead, PublishThroughputWithinBudget) {
   opts.refresh.churn_fraction = 0.0;  // no refreshes: measure the publish path
   opts.refresh.waste_ratio = 0.0;
 
-  const auto publish_seconds = [&](bool metrics_enabled) {
-    ManualClock clock;
-    Broker broker(scenario.workload, *scenario.pub, scenario.net.graph, opts,
-                  &clock);
-    broker.metrics().set_enabled(metrics_enabled);
-    MetricsRegistry::Default().set_enabled(metrics_enabled);
-    StopwatchClock watch;
-    for (const EventSample& e : events) {
-      clock.advance(1.0);
-      broker.publish(e.pub.origin, e.pub.point);
+  // One trial: a fresh broker per arm, fed the same events in lockstep.
+  // Which arm publishes first alternates per event, and which broker is
+  // built first alternates per trial, so a host slowdown or an
+  // allocation-order effect lands on both arms alike.  Timing the arms as
+  // separate back-to-back runs and comparing their minima let such effects
+  // decide the ratio: with both arms enabled, that design read above 1.05
+  // in about one run in five on a shared 4-vCPU host.
+  // Returns the trial's enabled / disabled publish-time ratio.
+  const auto trial_ratio = [&](bool build_enabled_first) {
+    struct Arm {
+      bool enabled = false;
+      ManualClock clock;
+      std::unique_ptr<Broker> broker;
+      double seconds = 0.0;
+    };
+    Arm arms[2];
+    arms[0].enabled = true;
+    for (int k = 0; k < 2; ++k) {
+      Arm& a = arms[build_enabled_first ? k : 1 - k];
+      a.broker = std::make_unique<Broker>(scenario.workload, *scenario.pub,
+                                          scenario.net.graph, opts, &a.clock);
+      a.broker->metrics().set_enabled(a.enabled);
     }
-    return watch.elapsed_seconds();
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      for (std::size_t k = 0; k < 2; ++k) {
+        Arm& a = arms[(i + k) % 2];
+        MetricsRegistry::Default().set_enabled(a.enabled);
+        a.clock.advance(1.0);
+        StopwatchClock watch;
+        a.broker->publish(events[i].pub.origin, events[i].pub.point);
+        a.seconds += watch.elapsed_seconds();
+      }
+    }
+    return arms[0].seconds / arms[1].seconds;
   };
 
-  // Interleave trials so frequency scaling / cache warming hits both arms
-  // equally, then compare the minima (the least-disturbed runs).
-  constexpr int kTrials = 5;
-  double best_on = 1e30;
-  double best_off = 1e30;
-  publish_seconds(true);  // warm-up run, discarded
-  for (int t = 0; t < kTrials; ++t) {
-    best_on = std::min(best_on, publish_seconds(true));
-    best_off = std::min(best_off, publish_seconds(false));
-  }
+  // The median over trials, so one disturbed trial cannot decide it.
+  constexpr int kTrials = 7;
+  trial_ratio(true);  // warm-up run, discarded
+  std::vector<double> ratios;
+  for (int t = 0; t < kTrials; ++t) ratios.push_back(trial_ratio(t % 2 == 0));
   MetricsRegistry::Default().set_enabled(true);
+  std::sort(ratios.begin(), ratios.end());
 
-  const double ratio = best_on / best_off;
+  const double ratio = ratios[kTrials / 2];
   EXPECT_LE(ratio, 1.05) << "instrumented publish path is " << ratio
                          << "x the registry-disabled baseline (budget 1.05x)";
 }

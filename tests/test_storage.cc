@@ -463,14 +463,14 @@ TEST_F(DiskStorageFailPoints, CrashAtPageWriteLeavesReopenableFile) {
 }
 
 TEST(PageStream, BlobRoundTripsAtEdgeSizes) {
-  MemoryStorageManager sm(1024);
-  const std::size_t cap = sm.payload_size() - 8;  // chain header is 8 bytes
+  const std::size_t cap = 1024 - kPageOverhead - 8;  // chain header: 8 bytes
   const std::vector<std::size_t> sizes = {0,       1,       cap - 1, cap,
                                           cap + 1, 3 * cap, 100000};
-  for (const std::size_t n : sizes) {
-    SCOPED_TRACE("n=" + std::to_string(n));
+  // One write + read-back on fresh storage; returns the pool's counters.
+  const auto round_trip = [&](std::size_t n, std::size_t frames) {
+    MemoryStorageManager sm(1024);
     BufferPool::Options po;
-    po.capacity = 4;
+    po.capacity = frames;
     BufferPool pool(&sm, po);
     std::string text;
     text.reserve(n);
@@ -487,6 +487,23 @@ TEST(PageStream, BlobRoundTripsAtEdgeSizes) {
     std::string got((std::istreambuf_iterator<char>(reader.stream())),
                     std::istreambuf_iterator<char>());
     EXPECT_EQ(got, text);
+    return std::vector<std::uint64_t>{pool.hits(), pool.misses(),
+                                      pool.evictions(), pool.writebacks()};
+  };
+  for (const std::size_t n : sizes) {
+    // A 2-frame pool evicts on any blob over two pages; the bytes read back
+    // must not change, only the pool traffic.
+    for (const std::size_t frames : {4, 2}) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   " frames=" + std::to_string(frames));
+      const auto counters = round_trip(n, frames);
+      if (frames == 2 && n > 2 * cap) {
+        EXPECT_GT(counters[2], 0u);
+      }
+      // Pool traffic is a pure function of the access sequence, so two
+      // identical runs count identical hits, misses and evictions.
+      EXPECT_EQ(round_trip(n, frames), counters);
+    }
   }
 }
 

@@ -21,7 +21,6 @@
 // any command; see docs/OPERATIONS.md).
 #include <cstdio>
 #include <deque>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -31,8 +30,7 @@
 
 #include "broker/broker.h"
 #include "broker/chaos.h"
-#include "storage/buffer_pool.h"
-#include "storage/page_stream.h"
+#include "broker/snapshot_file.h"
 #include "storage/storage_manager.h"
 #include "serve/catchup.h"
 #include "serve/event_loop.h"
@@ -335,23 +333,9 @@ void SaveSnapshotFile(const std::string& path, const Broker& broker,
     SaveToFileAtomic(path, os.str());
     return;
   }
-  // Page-file analogue of the same protocol: a page file is a valid
-  // artifact only after a clean build + flush, so checkpoints build at a
-  // temp path and rename over the previous good file.
-  const std::string tmp = path + ".tmp";
-  {
-    DiskStorageManager::Options opts;
-    opts.page_size = storage.page_size;
-    opts.metrics = &MetricsRegistry::Default();
-    auto sm = DiskStorageManager::Create(tmp, opts);
-    BufferPool::Options po;
-    po.capacity = storage.buffer_pages;
-    BufferPool pool(sm.get(), po, &MetricsRegistry::Default());
-    PageBlobWriter writer(&pool);
-    broker.write_snapshot(writer.stream());
-    writer.finish();  // emits the tail page, stores the blob meta, flushes
-  }
-  std::filesystem::rename(tmp, path);
+  // Page-file analogue of the same protocol (broker/snapshot_file.h).
+  SaveSnapshotPageFile(path, broker, storage.page_size, storage.buffer_pages,
+                       &MetricsRegistry::Default());
 }
 
 // Bootstrap a seq-0 snapshot from a workload: cold-cluster it once and
@@ -963,22 +947,24 @@ std::unique_ptr<Broker> RecoverFromFlags(const Flags& flags,
   const StorageConfig storage = StorageConfigFromFlags(flags);
   BrokerSnapshot snap;
   if (storage.disk) {
-    // Broker::Recover streams the snapshot straight out of the page file:
-    // the PageBlobReader pulls one page per istream underflow, so recovery
-    // never materializes the artifact as a contiguous string.
-    DiskStorageManager::OpenReport rep;
-    DiskStorageManager::Options sopts;
-    sopts.metrics = &MetricsRegistry::Default();
-    auto sm = DiskStorageManager::Open(snapshot_path, sopts, &rep);
-    if (rep.clipped_pages > 0)
-      std::fprintf(stderr,
-                   "warning: %s: clipped %zu torn pages at the file tail\n",
-                   snapshot_path.c_str(), rep.clipped_pages);
-    BufferPool::Options po;
-    po.capacity = storage.buffer_pages;
-    BufferPool pool(sm.get(), po, &MetricsRegistry::Default());
-    PageBlobReader reader(&pool);
-    snap = ReadBrokerSnapshot(reader.stream());
+    // The snapshot streams straight out of the page file one page per
+    // istream underflow, so recovery never materializes the artifact as a
+    // contiguous string.
+    std::size_t clipped = 0;
+    const auto warn_clipped = [&] {
+      if (clipped > 0)
+        std::fprintf(stderr,
+                     "warning: %s: clipped %zu torn pages at the file tail\n",
+                     snapshot_path.c_str(), clipped);
+    };
+    try {
+      snap = LoadSnapshotPageFile(snapshot_path, storage.buffer_pages,
+                                  &MetricsRegistry::Default(), &clipped);
+    } catch (const StorageError&) {
+      warn_clipped();  // a torn tail usually fails the read: say why first
+      throw;
+    }
+    warn_clipped();
   } else {
     std::istringstream snap_is(LoadFromFile(snapshot_path));
     snap = ReadBrokerSnapshot(snap_is);
@@ -1099,10 +1085,12 @@ int Chaos(const Flags& flags) {
     ok = ok && prep.ok();
   }
 
-  // --storage=disk extends the run to the paged tier on a real filesystem:
-  // the storage drill rotates through the storage.* fail-point sites plus
-  // physical torn tails and requires query parity against an in-memory
-  // reference after every cycle (docs/STORAGE.md).
+  // --storage=disk extends the run to the snapshot page files on a real
+  // filesystem: the storage drill saves the workload's seq-0 snapshot (the
+  // one `snapshot --storage=disk` writes), rotating through the storage.*
+  // fail-point sites plus physical torn tails, and requires every
+  // surviving file to read back to the same snapshot bytes
+  // (docs/STORAGE.md).
   const StorageConfig storage = StorageConfigFromFlags(flags);
   if (storage.disk) {
     StorageChaosOptions sopts;
@@ -1110,11 +1098,11 @@ int Chaos(const Flags& flags) {
     if (sopts.dir.empty()) Usage("chaos --storage=disk requires --storage-dir");
     sopts.cycles =
         static_cast<std::size_t>(flags.get_int("storage-cycles", 40));
-    sopts.seed = copts.seed;
     sopts.chaos_seed = copts.chaos_seed;
     sopts.page_size = storage.page_size;
     sopts.buffer_pages = storage.buffer_pages;
-    const StorageChaosReport srep = RunStorageChaos(sopts);
+    const Broker broker(wl, *model, net.graph, copts.broker);
+    const StorageChaosReport srep = RunStorageChaos(broker, sopts);
     std::fputs("\n", stdout);
     std::fputs(FormatStorageChaosReport(srep).c_str(), stdout);
     ok = ok && srep.ok();
