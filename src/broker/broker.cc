@@ -218,10 +218,6 @@ void Broker::init_obs(const BrokerOptions& options) {
                     StageName(static_cast<PublishStage>(s))),
         "trace-clock wall time per publish-path stage",
         ExponentialBuckets(0.001, 4.0, 12), MetricStability::kRuntime);
-  h_journal_flush_ms_ = r.histogram(
-      "broker_journal_flush_ms",
-      "trace-clock time serializing + flushing one journal record",
-      ExponentialBuckets(0.001, 4.0, 12), MetricStability::kRuntime);
 }
 
 BrokerStats Broker::stats() const {
@@ -478,7 +474,6 @@ PublishOutcome Broker::apply_record(const JournalRecord& rec) {
     WriteJournalRecord(journal_stream_, rec, mgr_->workload().space.dims());
     journal_append(journal_stream_.str(), &rec);
     const double flush_ms = trace_clock_->now_ms() - flush_start;
-    Observe(h_journal_flush_ms_, flush_ms);
     Observe(h_stage_[static_cast<std::size_t>(PublishStage::kJournalFlush)],
             flush_ms);
     if (sampled)

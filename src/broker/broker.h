@@ -393,7 +393,6 @@ class Broker {
   Histogram* h_service_ms_ = nullptr;
   // Wall-clock (kRuntime) stage spans, indexed by PublishStage.
   Histogram* h_stage_[kNumPublishStages] = {};
-  Histogram* h_journal_flush_ms_ = nullptr;
 };
 
 }  // namespace pubsub

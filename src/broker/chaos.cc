@@ -9,7 +9,7 @@
 #include "broker/replica.h"
 #include "broker/snapshot_file.h"
 #include "io/serialize.h"
-#include "storage/storage_manager.h"
+#include "storage/page_file.h"
 #include "util/failpoint.h"
 #include "util/rng.h"
 #include "workload/stock_model.h"
@@ -439,8 +439,7 @@ StorageChaosReport RunStorageChaos(const Broker& broker,
   StorageChaosReport rep;
 
   const auto save = [&] {
-    return SaveSnapshotPageFile(good, broker, opts.page_size,
-                                opts.buffer_pages);
+    return SaveSnapshotPageFile(good, broker, opts.page_size);
   };
 
   // Read `file` back and compare its re-serialization with the reference.
@@ -451,7 +450,7 @@ StorageChaosReport RunStorageChaos(const Broker& broker,
     std::size_t clipped = 0;
     BrokerSnapshot back;
     try {
-      back = LoadSnapshotPageFile(file, opts.buffer_pages, nullptr, &clipped);
+      back = LoadSnapshotPageFile(file, nullptr, &clipped);
     } catch (const StorageError&) {
       if (detected == nullptr)
         ++rep.parity_mismatches;
@@ -471,8 +470,8 @@ StorageChaosReport RunStorageChaos(const Broker& broker,
   parity(good, nullptr);
 
   // Fault offsets are drawn below the blob's page count, so every armed
-  // fault fires: a save writes the header, each blob page, then the header
-  // again, and a read-back reads each blob page once.
+  // fault fires: a save writes each blob page, then the header, then
+  // flushes once, and a read-back reads each blob page once.
   Rng chaos(opts.chaos_seed);
   const auto below_pages = [&] {
     return std::to_string(chaos.uniform_int(0, pages - 1));
@@ -520,7 +519,7 @@ StorageChaosReport RunStorageChaos(const Broker& broker,
         parity(good, nullptr);
         break;
       }
-      case 3: {  // single flush failure: healed by one backoff retry
+      case 3: {  // single flush failure: healed by one retry
         fp.configure("storage.flush=error*1");
         save();
         if (fp.fired("storage.flush") > 0) {
@@ -531,9 +530,9 @@ StorageChaosReport RunStorageChaos(const Broker& broker,
         parity(good, nullptr);
         break;
       }
-      case 4: {  // persistent flush failure at the save's durability point
-                 // (past the temp file's creation): degraded, save abandoned
-        fp.configure("storage.flush=error*100^1");
+      case 4: {  // persistent flush failure at the save's durability point:
+                 // degraded, save abandoned
+        fp.configure("storage.flush=error*100");
         bool degraded = false;
         try {
           save();

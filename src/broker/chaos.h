@@ -97,7 +97,6 @@ struct StorageChaosOptions {
   std::uint64_t chaos_seed = 1;  // fault rotation stream
   std::size_t cycles = 40;   // fault/recover cycles
   std::uint32_t page_size = 1024;
-  std::size_t buffer_pages = 8;
 };
 
 struct StorageChaosReport {

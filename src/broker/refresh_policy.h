@@ -71,10 +71,6 @@ class RefreshPolicy {
     return RefreshTrigger::kNone;
   }
 
-  bool should_refresh(std::size_t pending_churn, std::size_t table_size) const {
-    return trigger(pending_churn, table_size) != RefreshTrigger::kNone;
-  }
-
   std::size_t window_emitted() const { return window_emitted_; }
   std::size_t window_wasted() const { return window_wasted_; }
 

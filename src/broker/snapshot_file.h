@@ -15,28 +15,26 @@
 #include <string>
 
 #include "broker/types.h"
-#include "storage/page_stream.h"
+#include "storage/page_file.h"
 
 namespace pubsub {
 
 class Broker;
 class MetricsRegistry;
 
-// Write `broker`'s snapshot to `path` through a `buffer_pages`-frame pool
-// over pages of `page_size` bytes.  `metrics` (nullable) receives the
-// storage_* and storage_pool_* series.  Returns the blob written.
+// Write `broker`'s snapshot to `path` as a page file of `page_size`-byte
+// pages.  `metrics` (nullable) receives the storage_* write counters.
+// Returns the blob written.
 PageBlob SaveSnapshotPageFile(const std::string& path, const Broker& broker,
                               std::uint32_t page_size,
-                              std::size_t buffer_pages,
                               MetricsRegistry* metrics = nullptr);
 
 // Read the snapshot in the page file at `path`, streaming one page per
-// refill through a `buffer_pages`-frame pool (the page size comes from the
-// file).  Pages torn off the file tail are clipped at open and counted in
-// `*clipped_pages` (nullable) before the blob is read; a blob that needs a
-// clipped page then throws StorageError.
+// refill (the page size comes from the file).  The file is opened
+// read-only and never modified.  Pages torn off the file tail are clipped
+// at open and counted in `*clipped_pages` (nullable) before the blob is
+// read; a blob that needs a clipped page then throws StorageError.
 BrokerSnapshot LoadSnapshotPageFile(const std::string& path,
-                                    std::size_t buffer_pages,
                                     MetricsRegistry* metrics = nullptr,
                                     std::size_t* clipped_pages = nullptr);
 

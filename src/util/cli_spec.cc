@@ -52,7 +52,6 @@ std::vector<CliFlag> StorageFlags() {
       {"storage", "mem|disk",
        "snapshot artifact backend: text file (mem) or paged page-file (disk)"},
       {"page-size", "BYTES", "page size for --storage=disk files (4096)"},
-      {"buffer-pages", "N", "buffer-pool frames for --storage=disk (64)"},
   };
 }
 

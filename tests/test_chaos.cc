@@ -144,7 +144,6 @@ TEST(Chaos, StorageDrillSurvivesAllFaultModes) {
   opts.dir = ::testing::TempDir();
   opts.cycles = 14;  // two full rotations of the 7-mode fault schedule
   opts.page_size = 1024;
-  opts.buffer_pages = 8;
 
   const StorageChaosReport r = RunStorageChaos(broker, opts);
   EXPECT_EQ(r.cycles, 14u);

@@ -1,20 +1,17 @@
-// Storage subsystem tests: page-file format, free-list reuse, CRC/tag
-// detection, torn-tail reopen fuzz, buffer-pool edge cases, degraded-mode
-// backoff, and blob stream round trips (docs/STORAGE.md).
+// Storage subsystem tests: page-file format and pinned bytes, CRC/tag
+// detection, torn-tail fuzz, read-only reading, write/flush fault
+// handling, and blob stream round trips (docs/STORAGE.md).
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
-#include "obs/clock.h"
 #include "obs/metrics.h"
-#include "storage/buffer_pool.h"
 #include "storage/crc32.h"
-#include "storage/page_stream.h"
-#include "storage/storage_manager.h"
+#include "storage/page_file.h"
 #include "util/failpoint.h"
 
 namespace pubsub {
@@ -22,15 +19,60 @@ namespace {
 
 namespace fs = std::filesystem;
 
+// Blob bytes per chain page at the 1024-byte test page size: page overhead
+// plus the 8-byte chain header ([next u32][used u32]).
+constexpr std::uint32_t kPage = 1024;
+constexpr std::size_t kCap = kPage - kPageOverhead - 8;
+
 std::string TempPath(const std::string& name) {
   return (fs::path(::testing::TempDir()) / name).string();
 }
 
-std::vector<char> Pattern(std::size_t n, unsigned seed) {
-  std::vector<char> v(n);
+std::string Pattern(std::size_t n, unsigned seed) {
+  std::string v(n, '\0');
   for (std::size_t i = 0; i < n; ++i)
     v[i] = static_cast<char>((i * 131 + seed * 7 + 3) & 0xFF);
   return v;
+}
+
+PageBlob WriteBlob(const std::string& path, const std::string& text,
+                   std::uint32_t page_size = kPage,
+                   MetricsRegistry* metrics = nullptr) {
+  PageFileWriter writer(path, page_size, metrics);
+  writer.stream() << text;
+  return writer.finish();
+}
+
+std::string ReadAll(PageFileReader& reader) {
+  return std::string(std::istreambuf_iterator<char>(reader.stream()),
+                     std::istreambuf_iterator<char>());
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+std::uint32_t U32At(const char* p) {
+  const auto* b = reinterpret_cast<const unsigned char*>(p);
+  return static_cast<std::uint32_t>(b[0]) | (std::uint32_t{b[1]} << 8) |
+         (std::uint32_t{b[2]} << 16) | (std::uint32_t{b[3]} << 24);
+}
+
+// Chain page `id` of `reader` holds `data` and links to `next`.
+void ExpectChainPage(PageFileReader& reader, PageId id, PageId next,
+                     const std::string& data) {
+  const char* payload = reader.read_page(id);
+  EXPECT_EQ(U32At(payload), next);
+  EXPECT_EQ(U32At(payload + 4), data.size());
+  EXPECT_TRUE(std::string(payload + 8, data.size()) == data)
+      << "page " << id << " corrupted";
+}
+
+std::uint64_t CounterValue(MetricsRegistry& reg, const std::string& name) {
+  return reg.counter(name, "")->value();
 }
 
 // Every fail-point test must leave the process-global registry disarmed.
@@ -49,151 +91,95 @@ TEST(Crc32, KnownAnswerAndChaining) {
   EXPECT_NE(Crc32c(s, 9), Crc32c(s, 8));
 }
 
-TEST(MemoryStorage, RoundTripAndFreeListReuse) {
-  MemoryStorageManager sm(1024);
-  EXPECT_EQ(sm.payload_size(), 1024u - kPageOverhead);
-  const PageId a = sm.allocate();
-  const PageId b = sm.allocate();
-  const PageId c = sm.allocate();
-  EXPECT_EQ(a, 0u);
-  EXPECT_EQ(b, 1u);
-  EXPECT_EQ(c, 2u);
-
-  const std::vector<char> pa = Pattern(sm.payload_size(), 1);
-  sm.write(a, pa.data());
-  std::vector<char> out(sm.payload_size());
-  sm.read(a, out.data());
-  EXPECT_EQ(out, pa);
-
-  // LIFO free-list reuse: the most recently freed id comes back first, and
-  // the file does not grow while the free list is non-empty.
-  sm.free_page(a);
-  sm.free_page(c);
-  EXPECT_EQ(sm.free_count(), 2u);
-  EXPECT_EQ(sm.allocate(), c);
-  EXPECT_EQ(sm.allocate(), a);
-  EXPECT_EQ(sm.free_count(), 0u);
-  EXPECT_EQ(sm.allocate(), 3u);
-  EXPECT_EQ(sm.page_count(), 4u);
-
-  EXPECT_THROW(sm.read(99, out.data()), StorageError);
-  sm.set_meta("hello");
-  EXPECT_EQ(sm.meta(), "hello");
-  EXPECT_THROW(sm.set_meta(std::string(kMetaCapacity + 1, 'x')),
-               std::invalid_argument);
-}
-
 TEST(DiskStorage, CreateWriteReadReopen) {
   const std::string path = TempPath("disk_roundtrip.pagefile");
-  const std::vector<char> p0 = Pattern(1024 - kPageOverhead, 1);
-  const std::vector<char> p1 = Pattern(1024 - kPageOverhead, 2);
-  {
-    DiskStorageManager::Options opts;
-    opts.page_size = 1024;
-    auto sm = DiskStorageManager::Create(path, opts);
-    EXPECT_EQ(sm->allocate(), 0u);
-    EXPECT_EQ(sm->allocate(), 1u);
-    sm->write(0, p0.data());
-    sm->write(1, p1.data());
-    sm->set_meta("tree-of-life");
-    sm->flush();
-  }
-  {
-    auto sm = DiskStorageManager::Open(path);
-    EXPECT_EQ(sm->page_size(), 1024u);  // geometry comes from the header
-    EXPECT_EQ(sm->page_count(), 2u);
-    EXPECT_EQ(sm->meta(), "tree-of-life");
-    std::vector<char> out(sm->payload_size());
-    sm->read(0, out.data());
-    EXPECT_EQ(out, p0);
-    sm->read(1, out.data());
-    EXPECT_EQ(out, p1);
-  }
+  const std::string text = Pattern(2 * kCap, 1);
+  const PageBlob written = WriteBlob(path, text);
+  EXPECT_EQ(written.head, 0u);
+  EXPECT_EQ(written.bytes, text.size());
+  EXPECT_EQ(written.pages, 2u);
+
+  PageFileReader reader(path);
+  EXPECT_EQ(reader.page_size(), kPage);  // geometry comes from the header
+  EXPECT_EQ(reader.page_count(), 2u);
+  EXPECT_EQ(reader.clipped_pages(), 0u);
+  EXPECT_EQ(reader.blob().head, 0u);
+  EXPECT_EQ(reader.blob().bytes, text.size());
+  EXPECT_EQ(reader.blob().pages, 2u);
+  ExpectChainPage(reader, 0, 1, text.substr(0, kCap));
+  ExpectChainPage(reader, 1, kNoPage, text.substr(kCap));
+  EXPECT_EQ(ReadAll(reader), text);
 }
 
-TEST(DiskStorage, FreeListSurvivesReopen) {
-  const std::string path = TempPath("disk_freelist.pagefile");
-  DiskStorageManager::Options opts;
-  opts.page_size = 1024;
-  const std::vector<char> pay = Pattern(1024 - kPageOverhead, 3);
-  {
-    auto sm = DiskStorageManager::Create(path, opts);
-    for (PageId i = 0; i < 4; ++i) {
-      ASSERT_EQ(sm->allocate(), i);
-      sm->write(i, pay.data());
-    }
-    sm->free_page(1);
-    sm->free_page(3);
-    sm->flush();
-  }
-  {
-    auto sm = DiskStorageManager::Open(path);
-    EXPECT_EQ(sm->free_count(), 2u);
-    EXPECT_EQ(sm->allocate(), 3u);  // LIFO: last freed, first reused
-    EXPECT_EQ(sm->allocate(), 1u);
-    EXPECT_EQ(sm->allocate(), 4u);  // then growth
+// The page-file bytes are an interchange format: these CRC-32Cs of whole
+// files were recorded from the buffer-pool writer this one replaced.
+TEST(DiskStorage, PageFileBytesPinnedByCrc) {
+  struct Case {
+    std::size_t bytes;
+    std::uint32_t page_size;
+    std::uint64_t file_size;
+    std::uint32_t crc;
+  };
+  for (const Case& c : {Case{3000, 1024, 4096, 0x3B0A1350u},
+                        Case{0, 1024, 1024, 0x136F530Eu},
+                        Case{3000, 4096, 8192, 0x8B9BF4CFu}}) {
+    SCOPED_TRACE("bytes=" + std::to_string(c.bytes) +
+                 " page_size=" + std::to_string(c.page_size));
+    const std::string path = TempPath("disk_pinned.pagefile");
+    WriteBlob(path, Pattern(c.bytes, 42), c.page_size);
+    const std::string file = FileBytes(path);
+    EXPECT_EQ(file.size(), c.file_size);
+    EXPECT_EQ(Crc32c(file.data(), file.size()), c.crc);
   }
 }
 
 TEST(DiskStorage, CrcMismatchDetected) {
   const std::string path = TempPath("disk_crc.pagefile");
-  DiskStorageManager::Options opts;
-  opts.page_size = 1024;
-  const std::vector<char> pay = Pattern(1024 - kPageOverhead, 4);
-  {
-    auto sm = DiskStorageManager::Create(path, opts);
-    sm->allocate();
-    sm->write(0, pay.data());
-    sm->flush();
-  }
+  WriteBlob(path, Pattern(kCap, 4));
   // Flip one payload byte of page 0 (physical offset page_size + overhead).
   {
     std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(1024 + kPageOverhead + 100);
+    f.seekp(kPage + kPageOverhead + 100);
     const char evil = 'X';
     f.write(&evil, 1);
   }
-  auto sm = DiskStorageManager::Open(path);
-  std::vector<char> out(sm->payload_size());
+  PageFileReader reader(path);
   try {
-    sm->read(0, out.data());
+    reader.read_page(0);
     FAIL() << "corrupt page read did not throw";
   } catch (const StorageError& e) {
     EXPECT_EQ(e.code(), StorageErrorCode::kCrcMismatch);
     EXPECT_EQ(e.page(), 0u);
   }
+  PageFileReader streamed(path);
+  try {
+    ReadAll(streamed);
+    FAIL() << "corrupt blob read did not throw";
+  } catch (const StorageError& e) {
+    EXPECT_EQ(e.code(), StorageErrorCode::kCrcMismatch);
+  }
 }
 
 TEST(DiskStorage, MisdirectedReadDetectedByTag) {
   const std::string path = TempPath("disk_tag.pagefile");
-  DiskStorageManager::Options opts;
-  opts.page_size = 1024;
-  {
-    auto sm = DiskStorageManager::Create(path, opts);
-    sm->allocate();
-    sm->allocate();
-    sm->write(0, Pattern(sm->payload_size(), 5).data());
-    sm->write(1, Pattern(sm->payload_size(), 6).data());
-    sm->flush();
-  }
+  WriteBlob(path, Pattern(2 * kCap, 5));
   // Swap the two pages' raw frames: CRCs still verify (each frame is
   // internally consistent) but the tag exposes the misdirection.
   {
     std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
-    std::vector<char> f0(1024), f1(1024);
-    f.seekg(1024);
-    f.read(f0.data(), 1024);
-    f.seekg(2048);
-    f.read(f1.data(), 1024);
-    f.seekp(1024);
-    f.write(f1.data(), 1024);
-    f.seekp(2048);
-    f.write(f0.data(), 1024);
+    std::vector<char> f0(kPage), f1(kPage);
+    f.seekg(kPage);
+    f.read(f0.data(), kPage);
+    f.seekg(2 * kPage);
+    f.read(f1.data(), kPage);
+    f.seekp(kPage);
+    f.write(f1.data(), kPage);
+    f.seekp(2 * kPage);
+    f.write(f0.data(), kPage);
   }
-  auto sm = DiskStorageManager::Open(path);
-  std::vector<char> out(sm->payload_size());
+  PageFileReader reader(path);
   try {
-    sm->read(0, out.data());
+    reader.read_page(0);
     FAIL() << "misdirected read did not throw";
   } catch (const StorageError& e) {
     EXPECT_EQ(e.code(), StorageErrorCode::kBadPage);
@@ -207,15 +193,12 @@ TEST(DiskStorage, RejectsGarbageAndTinyPages) {
     f << "this is not a page file, but it is longer than nothing";
   }
   try {
-    auto sm = DiskStorageManager::Open(path);
+    PageFileReader reader(path);
     FAIL() << "garbage file opened";
   } catch (const StorageError& e) {
     EXPECT_EQ(e.code(), StorageErrorCode::kBadHeader);
   }
-  EXPECT_THROW({ MemoryStorageManager small(64); }, std::invalid_argument);
-  DiskStorageManager::Options tiny;
-  tiny.page_size = 128;
-  EXPECT_THROW(DiskStorageManager::Create(TempPath("tiny.pagefile"), tiny),
+  EXPECT_THROW(PageFileWriter(TempPath("tiny.pagefile"), 128),
                std::invalid_argument);
 }
 
@@ -224,19 +207,8 @@ TEST(DiskStorage, RejectsGarbageAndTinyPages) {
 // never garbage data, never an unflagged short read.
 TEST(DiskStorage, TornTailReopenFuzzedAtByteOffsets) {
   const std::string path = TempPath("disk_torn.pagefile");
-  constexpr std::uint32_t kPage = 1024;
-  DiskStorageManager::Options opts;
-  opts.page_size = kPage;
-  std::vector<std::vector<char>> pays;
-  {
-    auto sm = DiskStorageManager::Create(path, opts);
-    for (PageId i = 0; i < 4; ++i) {
-      sm->allocate();
-      pays.push_back(Pattern(sm->payload_size(), 10 + i));
-      sm->write(i, pays.back().data());
-    }
-    sm->flush();
-  }
+  const std::string text = Pattern(4 * kCap, 10);
+  WriteBlob(path, text);
   const std::uint64_t full = fs::file_size(path);
   ASSERT_EQ(full, 5u * kPage);  // header + 4 pages
 
@@ -260,307 +232,176 @@ TEST(DiskStorage, TornTailReopenFuzzedAtByteOffsets) {
     if (cut < kPage) {
       // Header itself torn: the file must be rejected as a whole.
       try {
-        auto sm = DiskStorageManager::Open(work);
+        PageFileReader reader(work);
         FAIL() << "torn header accepted";
       } catch (const StorageError& e) {
         EXPECT_EQ(e.code(), StorageErrorCode::kBadHeader);
       }
       continue;
     }
-    DiskStorageManager::OpenReport rep;
-    auto sm = DiskStorageManager::Open(work, opts, &rep);
+    PageFileReader reader(work);
     const std::size_t durable = static_cast<std::size_t>(cut / kPage) - 1;
-    EXPECT_EQ(sm->page_count(), std::min<std::size_t>(durable, 4));
-    EXPECT_EQ(rep.clipped_pages, 4 - sm->page_count());
-    std::vector<char> out(sm->payload_size());
+    EXPECT_EQ(reader.page_count(), std::min<std::size_t>(durable, 4));
+    EXPECT_EQ(reader.clipped_pages(), 4 - reader.page_count());
     for (PageId i = 0; i < 4; ++i) {
-      if (i < sm->page_count()) {
-        sm->read(i, out.data());
-        EXPECT_EQ(out, pays[i]) << "surviving page corrupted";
+      if (i < reader.page_count()) {
+        ExpectChainPage(reader, i, i == 3 ? kNoPage : i + 1,
+                        text.substr(i * kCap, kCap));
       } else {
-        EXPECT_THROW(sm->read(i, out.data()), StorageError);
+        EXPECT_THROW(reader.read_page(i), StorageError);
       }
     }
+    PageFileReader streamed(work);
+    EXPECT_THROW(ReadAll(streamed), StorageError);
   }
 }
 
-TEST(BufferPool, CountsHitsMissesEvictionsExactly) {
-  MemoryStorageManager sm(1024);
-  BufferPool::Options po;
-  po.capacity = 2;
-  BufferPool pool(&sm, po);
-
-  const PageId a = pool.allocate();
-  pool.unpin(a, true);
-  const PageId b = pool.allocate();
-  pool.unpin(b, true);
-  const PageId c = pool.allocate();  // evicts LRU (a), writes it back
-  pool.unpin(c, true);
-  EXPECT_EQ(pool.evictions(), 1u);
-  EXPECT_EQ(pool.writebacks(), 1u);
-
-  pool.pin(c);  // resident: hit
-  pool.unpin(c, false);
-  EXPECT_EQ(pool.hits(), 1u);
-  EXPECT_EQ(pool.misses(), 0u);
-
-  pool.pin(a);  // miss: reloads a, evicting b
-  pool.unpin(a, false);
-  EXPECT_EQ(pool.misses(), 1u);
-  EXPECT_EQ(pool.evictions(), 2u);
-  EXPECT_EQ(pool.writebacks(), 2u);  // b was dirty
-
-  std::vector<char> out(sm.payload_size());
-  sm.read(b, out.data());  // b's eviction persisted its zeroed frame
-}
-
-TEST(BufferPool, AllPinnedPoolFailsLoudly) {
-  MemoryStorageManager sm(1024);
-  BufferPool::Options po;
-  po.capacity = 2;
-  BufferPool pool(&sm, po);
-  const PageId a = pool.allocate();
-  const PageId b = pool.allocate();
-  // Both frames pinned: the next distinct pin must throw, not deadlock and
-  // not silently grow the pool.
-  EXPECT_THROW(pool.allocate(), BufferPoolExhaustedError);
-  EXPECT_EQ(pool.pinned(), 2u);
-  // Re-pinning a resident page is fine (no new frame needed).
-  pool.pin(a);
-  pool.unpin(a, false);
-  pool.unpin(a, true);
-  pool.unpin(b, true);
-  EXPECT_NO_THROW(pool.allocate());
-  EXPECT_THROW(pool.unpin(a, false), std::logic_error);  // not pinned now
-  pool.flush();
-}
-
-TEST(BufferPool, DirtyWritebackReachesStorageOnFlush) {
-  MemoryStorageManager sm(1024);
-  BufferPool::Options po;
-  po.capacity = 4;
-  BufferPool pool(&sm, po);
-  const std::vector<char> pay = Pattern(sm.payload_size(), 9);
-  PageId id;
-  {
-    PageRef ref = PageRef::Alloc(pool);
-    id = ref.id();
-    std::copy(pay.begin(), pay.end(), ref.data());
-    ref.set_dirty();
-  }
-  pool.flush();
-  std::vector<char> out(sm.payload_size());
-  sm.read(id, out.data());
-  EXPECT_EQ(out, pay);
-}
-
-TEST(BufferPool, ExportsDeterministicMetrics) {
-  MetricsRegistry reg;
-  MemoryStorageManager sm(1024);
-  BufferPool::Options po;
-  po.capacity = 2;
-  BufferPool pool(&sm, po, &reg);
-  const PageId a = pool.allocate();
-  pool.unpin(a, true);
-  const PageId b = pool.allocate();
-  pool.unpin(b, true);
-  pool.allocate();  // eviction
-  const MetricsSnapshot snap = reg.scrape(/*include_runtime=*/false);
-  bool saw_evictions = false;
-  for (const auto& m : snap.samples) {
-    if (m.info.name == "storage_pool_evictions_total") {
-      saw_evictions = true;
-      EXPECT_EQ(m.counter_value, 1u);
+// Reading a torn file reports the clip and leaves the file as it found it,
+// so every later reader sees the same clip.
+TEST(DiskStorage, ReadingTornFileNeverWritesIt) {
+  const std::string path = TempPath("disk_readonly.pagefile");
+  WriteBlob(path, Pattern(4 * kCap, 11));
+  fs::resize_file(path, 3 * kPage + 500);  // header + 2 pages + a torn one
+  const std::string before = FileBytes(path);
+  for (int load = 0; load < 2; ++load) {
+    SCOPED_TRACE("load " + std::to_string(load));
+    {
+      PageFileReader reader(path);
+      EXPECT_EQ(reader.clipped_pages(), 2u);
+      EXPECT_THROW(ReadAll(reader), StorageError);
     }
+    EXPECT_TRUE(FileBytes(path) == before) << "reading rewrote the file";
   }
-  EXPECT_TRUE(saw_evictions);
 }
 
 using DiskStorageFailPoints = StorageFailPointTest;
 
 TEST_F(DiskStorageFailPoints, ShortWriteHealedByRetry) {
   const std::string path = TempPath("disk_shortwrite.pagefile");
-  DiskStorageManager::Options opts;
-  opts.page_size = 1024;
-  auto sm = DiskStorageManager::Create(path, opts);
-  sm->allocate();
-  const std::vector<char> pay = Pattern(sm->payload_size(), 21);
+  MetricsRegistry reg;
+  const std::string text = Pattern(kCap, 21);
+  PageFileWriter writer(path, kPage, &reg);
+  writer.stream() << text;
   // One short write of 5 bytes; the page write loop must rewrite the whole
   // frame on retry and succeed.
   FailPoints::Instance().configure("storage.page.write=error:5*1");
-  sm->write(0, pay.data());
-  EXPECT_EQ(sm->stats().retries, 1u);
-  EXPECT_FALSE(sm->degraded());
-  sm->flush();
-  std::vector<char> out(sm->payload_size());
-  sm->read(0, out.data());
-  EXPECT_EQ(out, pay);
+  writer.finish();
+  EXPECT_EQ(CounterValue(reg, "storage_retries_total"), 1u);
+  EXPECT_FALSE(writer.degraded());
+  PageFileReader reader(path);
+  EXPECT_EQ(ReadAll(reader), text);
 }
 
-TEST_F(DiskStorageFailPoints, FlushFailureDegradesThenHeals) {
+TEST_F(DiskStorageFailPoints, FlushFailureDegradesAndRefusesWrites) {
   const std::string path = TempPath("disk_degraded.pagefile");
-  ManualClock clock;
-  DiskStorageManager::Options opts;
-  opts.page_size = 1024;
-  opts.flush_retries = 4;
-  opts.clock = &clock;
-  auto sm = DiskStorageManager::Create(path, opts);
-  sm->allocate();
-  const std::vector<char> pay = Pattern(sm->payload_size(), 22);
-  sm->write(0, pay.data());
+  MetricsRegistry reg;
+  const std::string text = Pattern(kCap, 22);
+  {
+    PageFileWriter writer(path, kPage, &reg);
+    writer.stream() << text;
 
-  FailPoints::Instance().configure("storage.flush=error*100");
-  EXPECT_THROW(sm->flush(), StorageDegradedError);
-  EXPECT_TRUE(sm->degraded());
-  // Backoff advanced the manual clock deterministically: 1 + 2 + 4 ms for
-  // the three retries before the budget of 4 attempts ran out.
-  EXPECT_DOUBLE_EQ(clock.now_ms(), 7.0);
-  EXPECT_EQ(sm->stats().degraded_entries, 1u);
+    FailPoints::Instance().configure("storage.flush=error*100");
+    EXPECT_THROW(writer.finish(), StorageDegradedError);
+    EXPECT_TRUE(writer.degraded());
+    // The retry budget: kWriteAttempts failed flushes, one fewer retries.
+    EXPECT_EQ(CounterValue(reg, "storage_flush_failures_total"),
+              kWriteAttempts);
+    EXPECT_EQ(CounterValue(reg, "storage_retries_total"), kWriteAttempts - 1);
+    EXPECT_EQ(CounterValue(reg, "storage_degraded_entries_total"), 1u);
 
-  // Degraded mode: reads serve, mutations refuse.
-  std::vector<char> out(sm->payload_size());
-  sm->read(0, out.data());
-  EXPECT_EQ(out, pay);
-  EXPECT_THROW(sm->write(0, pay.data()), StorageDegradedError);
-  EXPECT_THROW(sm->allocate(), StorageDegradedError);
-  EXPECT_THROW(sm->flush(), StorageDegradedError);
-
-  // Probe with the fault still armed: stays degraded.
-  EXPECT_FALSE(sm->clear_degraded());
-  EXPECT_TRUE(sm->degraded());
-
-  // Disarm and re-probe: healthy again, and the interrupted durability
-  // point completes.
-  FailPoints::Instance().clear();
-  EXPECT_TRUE(sm->clear_degraded());
-  EXPECT_FALSE(sm->degraded());
-  sm->write(0, pay.data());
-  sm->flush();
+    // Degraded mode: every further write refuses.
+    EXPECT_THROW(writer.stream() << std::string(3 * kCap, 'y'),
+                 StorageDegradedError);
+    EXPECT_THROW(writer.finish(), StorageDegradedError);
+    FailPoints::Instance().clear();
+  }
+  // Reads serve: the pages and header written before the failed flush
+  // reach the file when the writer closes it.
+  PageFileReader reader(path);
+  EXPECT_EQ(ReadAll(reader), text);
 }
 
 TEST_F(DiskStorageFailPoints, CrashAtPageWriteLeavesReopenableFile) {
   const std::string path = TempPath("disk_crash.pagefile");
-  DiskStorageManager::Options opts;
-  opts.page_size = 1024;
+  const std::string tmp = path + ".tmp";
+  const std::string text = Pattern(3 * kCap, 23);
+  WriteBlob(path, text);
   {
-    auto sm = DiskStorageManager::Create(path, opts);
-    sm->allocate();
-    sm->write(0, Pattern(sm->payload_size(), 23).data());
-    sm->flush();
-    FailPoints::Instance().configure("storage.page.write=crash*1");
-    sm->allocate();
-    EXPECT_THROW(sm->write(1, Pattern(sm->payload_size(), 24).data()),
-                 InjectedCrash);
+    PageFileWriter writer(tmp, kPage);
+    FailPoints::Instance().configure("storage.page.write=crash*1^1");
+    EXPECT_THROW(
+        {
+          writer.stream() << Pattern(3 * kCap, 24);
+          writer.finish();
+        },
+        InjectedCrash);
     FailPoints::Instance().clear();
-    // Simulated death: drop the manager without a clean flush.
+    // Simulated death: drop the writer without a header or a flush.
   }
-  // The file reopens; the flushed page is intact, the unflushed id is
-  // beyond the durable tail.
-  auto sm = DiskStorageManager::Open(path);
-  std::vector<char> out(sm->payload_size());
-  sm->read(0, out.data());
-  EXPECT_EQ(out, Pattern(sm->payload_size(), 23));
+  // The durable file reopens intact.
+  PageFileReader reader(path);
+  EXPECT_EQ(ReadAll(reader), text);
+  // The interrupted file never reads as complete: its header comes last.
+  try {
+    PageFileReader torn(tmp);
+    FAIL() << "interrupted page file opened";
+  } catch (const StorageError& e) {
+    EXPECT_EQ(e.code(), StorageErrorCode::kBadHeader);
+  }
 }
 
 TEST(PageStream, BlobRoundTripsAtEdgeSizes) {
-  const std::size_t cap = 1024 - kPageOverhead - 8;  // chain header: 8 bytes
-  const std::vector<std::size_t> sizes = {0,       1,       cap - 1, cap,
-                                          cap + 1, 3 * cap, 100000};
-  // One write + read-back on fresh storage; returns the pool's counters.
-  const auto round_trip = [&](std::size_t n, std::size_t frames) {
-    MemoryStorageManager sm(1024);
-    BufferPool::Options po;
-    po.capacity = frames;
-    BufferPool pool(&sm, po);
+  const std::vector<std::size_t> sizes = {0,        1,        kCap - 1, kCap,
+                                          kCap + 1, 3 * kCap, 100000};
+  // One write + read-back; returns the page traffic counters.
+  const auto round_trip = [&](std::size_t n) {
+    const std::string path = TempPath("blob_edge.pagefile");
+    MetricsRegistry reg;
     std::string text;
     text.reserve(n);
     for (std::size_t i = 0; i < n; ++i)
       text.push_back(static_cast<char>('a' + (i * 31 + n) % 26));
 
-    PageBlobWriter writer(&pool);
-    writer.stream() << text;
-    const PageBlob blob = writer.finish();
+    const PageBlob blob = WriteBlob(path, text, kPage, &reg);
     EXPECT_EQ(blob.bytes, n);
-    EXPECT_EQ(blob.pages, (n + cap - 1) / cap);
+    EXPECT_EQ(blob.pages, (n + kCap - 1) / kCap);
+    EXPECT_EQ(fs::file_size(path), (blob.pages + 1) * kPage);
 
-    PageBlobReader reader(&pool);
-    std::string got((std::istreambuf_iterator<char>(reader.stream())),
-                    std::istreambuf_iterator<char>());
-    EXPECT_EQ(got, text);
-    return std::vector<std::uint64_t>{pool.hits(), pool.misses(),
-                                      pool.evictions(), pool.writebacks()};
+    PageFileReader reader(path, &reg);
+    EXPECT_EQ(ReadAll(reader), text);
+    const std::uint64_t writes = CounterValue(reg, "storage_page_writes_total");
+    const std::uint64_t reads = CounterValue(reg, "storage_page_reads_total");
+    // Each chain page is written once and read once; the header is written
+    // once and read outside the page path.
+    EXPECT_EQ(writes, blob.pages + 1u);
+    EXPECT_EQ(reads, blob.pages);
+    return std::vector<std::uint64_t>{writes, reads};
   };
   for (const std::size_t n : sizes) {
-    // A 2-frame pool evicts on any blob over two pages; the bytes read back
-    // must not change, only the pool traffic.
-    for (const std::size_t frames : {4, 2}) {
-      SCOPED_TRACE("n=" + std::to_string(n) +
-                   " frames=" + std::to_string(frames));
-      const auto counters = round_trip(n, frames);
-      if (frames == 2 && n > 2 * cap) {
-        EXPECT_GT(counters[2], 0u);
-      }
-      // Pool traffic is a pure function of the access sequence, so two
-      // identical runs count identical hits, misses and evictions.
-      EXPECT_EQ(round_trip(n, frames), counters);
-    }
+    SCOPED_TRACE("n=" + std::to_string(n));
+    // Page traffic is a pure function of the blob, so two identical runs
+    // count identical reads and writes.
+    EXPECT_EQ(round_trip(n), round_trip(n));
   }
 }
 
 TEST(PageStream, BlobSurvivesDiskReopen) {
   const std::string path = TempPath("blob_reopen.pagefile");
-  DiskStorageManager::Options opts;
-  opts.page_size = 1024;
   std::string text;
   for (int i = 0; i < 5000; ++i) text += "line " + std::to_string(i) + "\n";
-  {
-    auto sm = DiskStorageManager::Create(path, opts);
-    BufferPool::Options po;
-    po.capacity = 3;
-    BufferPool pool(sm.get(), po);
-    PageBlobWriter writer(&pool);
-    writer.stream() << text;
-    writer.finish();
-  }
-  {
-    auto sm = DiskStorageManager::Open(path);
-    BufferPool::Options po;
-    po.capacity = 3;
-    BufferPool pool(sm.get(), po);
-    PageBlobReader reader(&pool);
-    std::string got((std::istreambuf_iterator<char>(reader.stream())),
-                    std::istreambuf_iterator<char>());
-    EXPECT_EQ(got, text);
-  }
+  WriteBlob(path, text);
+  PageFileReader reader(path);
+  EXPECT_EQ(ReadAll(reader), text);
 }
 
 TEST(PageStream, TornChainPageSurfacesTypedError) {
   const std::string path = TempPath("blob_torn.pagefile");
-  DiskStorageManager::Options opts;
-  opts.page_size = 1024;
-  std::string text(10000, 'z');
-  {
-    auto sm = DiskStorageManager::Create(path, opts);
-    BufferPool::Options po;
-    po.capacity = 3;
-    BufferPool pool(sm.get(), po);
-    PageBlobWriter writer(&pool);
-    writer.stream() << text;
-    writer.finish();
-  }
+  WriteBlob(path, std::string(10000, 'z'));
   // Chop the last chain page off the file.
-  fs::resize_file(path, fs::file_size(path) - 1024);
-  auto sm = DiskStorageManager::Open(path);
-  BufferPool::Options po;
-  po.capacity = 3;
-  BufferPool pool(sm.get(), po);
-  PageBlobReader reader(&pool);
-  EXPECT_THROW(
-      {
-        std::string got((std::istreambuf_iterator<char>(reader.stream())),
-                        std::istreambuf_iterator<char>());
-      },
-      StorageError);
+  fs::resize_file(path, fs::file_size(path) - kPage);
+  PageFileReader reader(path);
+  EXPECT_EQ(reader.clipped_pages(), 1u);
+  EXPECT_THROW(ReadAll(reader), StorageError);
 }
 
 }  // namespace

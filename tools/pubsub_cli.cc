@@ -31,7 +31,7 @@
 #include "broker/broker.h"
 #include "broker/chaos.h"
 #include "broker/snapshot_file.h"
-#include "storage/storage_manager.h"
+#include "storage/page_file.h"
 #include "serve/catchup.h"
 #include "serve/event_loop.h"
 #include "serve/fleet.h"
@@ -300,13 +300,12 @@ void PrintBrokerReport(const Broker& broker) {
               (unsigned long long)broker.state_digest());
 }
 
-// --storage/--page-size/--buffer-pages: which backend snapshot artifacts
-// use.  mem keeps the original text files; disk routes them through the
-// paged storage tier (docs/STORAGE.md).
+// --storage/--page-size: which backend snapshot artifacts use.  mem keeps
+// the original text files; disk routes them through the paged storage tier
+// (docs/STORAGE.md).
 struct StorageConfig {
   bool disk = false;
   std::uint32_t page_size = 4096;
-  std::size_t buffer_pages = 64;
 };
 
 StorageConfig StorageConfigFromFlags(const Flags& flags) {
@@ -317,9 +316,6 @@ StorageConfig StorageConfigFromFlags(const Flags& flags) {
   else if (backend != "mem")
     Usage("unknown --storage '" + backend + "' (want mem|disk)");
   cfg.page_size = static_cast<std::uint32_t>(flags.get_int("page-size", 4096));
-  cfg.buffer_pages =
-      static_cast<std::size_t>(flags.get_int("buffer-pages", 64));
-  if (cfg.buffer_pages == 0) Usage("--buffer-pages must be >= 1");
   return cfg;
 }
 
@@ -334,7 +330,7 @@ void SaveSnapshotFile(const std::string& path, const Broker& broker,
     return;
   }
   // Page-file analogue of the same protocol (broker/snapshot_file.h).
-  SaveSnapshotPageFile(path, broker, storage.page_size, storage.buffer_pages,
+  SaveSnapshotPageFile(path, broker, storage.page_size,
                        &MetricsRegistry::Default());
 }
 
@@ -958,8 +954,8 @@ std::unique_ptr<Broker> RecoverFromFlags(const Flags& flags,
                      snapshot_path.c_str(), clipped);
     };
     try {
-      snap = LoadSnapshotPageFile(snapshot_path, storage.buffer_pages,
-                                  &MetricsRegistry::Default(), &clipped);
+      snap = LoadSnapshotPageFile(snapshot_path, &MetricsRegistry::Default(),
+                                  &clipped);
     } catch (const StorageError&) {
       warn_clipped();  // a torn tail usually fails the read: say why first
       throw;
@@ -1100,7 +1096,6 @@ int Chaos(const Flags& flags) {
         static_cast<std::size_t>(flags.get_int("storage-cycles", 40));
     sopts.chaos_seed = copts.chaos_seed;
     sopts.page_size = storage.page_size;
-    sopts.buffer_pages = storage.buffer_pages;
     const Broker broker(wl, *model, net.graph, copts.broker);
     const StorageChaosReport srep = RunStorageChaos(broker, sopts);
     std::fputs("\n", stdout);
