@@ -129,7 +129,11 @@ void BM_GridConstruction(benchmark::State& state) {
     benchmark::DoNotOptimize(grid.hyper_cells().size());
   }
 }
-BENCHMARK(BM_GridConstruction)->Arg(500)->Arg(1000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GridConstruction)
+    ->Arg(500)
+    ->Arg(1000)
+    ->Arg(5000)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace pubsub

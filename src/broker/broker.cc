@@ -13,18 +13,6 @@
 #include "util/failpoint.h"
 
 namespace pubsub {
-namespace {
-
-std::uint64_t Fnv1a(const std::string& bytes) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-}  // namespace
 
 Broker::Broker(Workload initial, const PublicationModel& pub,
                const Graph& network, const BrokerOptions& options, Clock* clock)
@@ -881,14 +869,17 @@ std::span<const SubscriberId> Broker::interested_into(const Point& event,
 }
 
 std::uint64_t Broker::state_digest() const {
-  std::ostringstream os;
-  os << seq_ << '\n'
-     << mgr_->pending_churn() << ' ' << mgr_->churn_since_full_build() << '\n';
-  WriteWorkload(os, mgr_->workload());
-  for (const int g : mgr_->assignment()) os << g << ' ';
-  os << '\n' << std::hexfloat;
-  for (const double v : runtime_->queue_state()) os << v << ' ';
-  return Fnv1a(os.str());
+  std::uint64_t h = DigestWord(kDigestBasis, seq_);
+  h = DigestWord(h, mgr_->pending_churn());
+  h = DigestWord(h, mgr_->churn_since_full_build());
+  h = DigestWorkload(h, mgr_->workload());
+  h = DigestWord(h, mgr_->assignment().size());
+  for (const int g : mgr_->assignment())
+    h = DigestWord(h, static_cast<std::uint64_t>(g));
+  h = DigestWord(h, runtime_->queue_state().size());
+  for (const double v : runtime_->queue_state())
+    h = DigestWord(h, std::bit_cast<std::uint64_t>(v));
+  return h;
 }
 
 void Broker::index_insert(SubscriberId id, const Rect& interest) {

@@ -227,9 +227,9 @@ class Broker {
   const BrokerSnapshot& snapshot() const { return checkpoint_; }
   std::uint64_t write_snapshot(std::ostream& os) const;
 
-  // FNV-1a digest of the durable state (seq, live table, clustering,
-  // churn bookkeeping, queue state); equal digests at equal seq mean two
-  // brokers will make identical decisions from here on.
+  // Word-wise FNV-1a digest of the durable state's raw fields (seq, churn
+  // bookkeeping, live table, clustering, queue state); equal digests at
+  // equal seq mean two brokers will make identical decisions from here on.
   std::uint64_t state_digest() const;
 
   // --- telemetry --------------------------------------------------------

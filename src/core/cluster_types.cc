@@ -138,22 +138,23 @@ double TotalExpectedWaste(const std::vector<ClusterCell>& cells,
     throw std::invalid_argument("TotalExpectedWaste: size mismatch");
   if (cells.empty()) return 0.0;
 
-  std::vector<GroupState> groups(static_cast<std::size_t>(num_groups),
-                                 GroupState(cells[0].members->size()));
+  // Only each group's union s(g) is needed: OR the member words.
+  std::vector<BitVector> unions(static_cast<std::size_t>(num_groups),
+                                BitVector(cells[0].members->size()));
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const int g = assignment[i];
     if (g < 0) continue;
     if (g >= num_groups) throw std::invalid_argument("TotalExpectedWaste: bad group");
-    groups[static_cast<std::size_t>(g)].add(cells[i]);
+    unions[static_cast<std::size_t>(g)] |= *cells[i].members;
   }
 
   double waste = 0.0;
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const int g = assignment[i];
     if (g < 0) continue;
-    waste += cells[i].prob * static_cast<double>(groups[static_cast<std::size_t>(g)]
-                                                     .vec()
-                                                     .count_and_not(*cells[i].members));
+    waste += cells[i].prob *
+             static_cast<double>(unions[static_cast<std::size_t>(g)].count_and_not(
+                 *cells[i].members));
   }
   return waste;
 }

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
-#include <unordered_map>
-
-#include "util/thread_pool.h"
 
 namespace pubsub {
 namespace {
@@ -14,11 +12,100 @@ namespace {
 // spaces (the paper's spaces are ~3·10^4 cells).
 constexpr std::int64_t kMaxLatticeCells = 8'000'000;
 
-// Per-shard lattice copies for the parallel rasterization pass cost
-// sizeof(BitVector) per cell per shard; above this lattice size fall back
-// to the serial pass rather than burn that memory.  Either path sets the
-// same bits, so the choice never changes the result.
-constexpr std::int64_t kMaxParallelLatticeCells = 1'000'000;
+// FNV-1a over a membership vector's words, finished with the splitmix64
+// mixer: FNV's low bits depend only on the words' low bits, and the
+// hyper-cell table below indexes by the low bits.
+std::uint64_t HashWords(std::span<const std::uint64_t> words) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const std::uint64_t w : words) {
+    h ^= w;
+    h *= 1099511628211ull;
+  }
+  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
+  h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
+  return h ^ (h >> 31);
+}
+
+// Per-dimension membership columns: column (d, v) holds, as raw words, the
+// subscribers whose GridCellsIntersecting range in dimension d covers v.
+// A subscription is a conjunction of per-attribute ranges, so a lattice
+// cell's s(a) is the AND of its coordinates' columns.  for_each_occupied
+// walks the lattice in id order keeping one prefix AND per leading
+// dimension, so each cell costs one W-word AND, and a prefix that is
+// already empty skips its whole sub-lattice.
+class MembershipColumns {
+ public:
+  explicit MembershipColumns(const Workload& wl)
+      : space_(&wl.space),
+        words_((wl.num_subscribers() + BitVector::word_bits() - 1) /
+               BitVector::word_bits()),
+        columns_(wl.space.dims()),
+        prefix_(wl.space.dims() * words_, 0),
+        cell_(wl.space.dims()) {
+    const std::size_t dims = wl.space.dims();
+    for (std::size_t d = 0; d < dims; ++d)
+      columns_[d].assign(
+          static_cast<std::size_t>(wl.space.dim(d).domain_size) * words_, 0);
+
+    std::vector<GridValueRange> range(dims);
+    for (std::size_t i = 0; i < wl.subscribers.size(); ++i) {
+      const Rect& r = wl.subscribers[i].interest;
+      bool empty = false;
+      for (std::size_t d = 0; d < dims && !empty; ++d) {
+        range[d] = GridCellsIntersecting(r[d], wl.space.dim(d).domain_size);
+        empty = range[d].last < range[d].first;
+      }
+      if (empty) continue;
+      const std::size_t w = i / BitVector::word_bits();
+      const std::uint64_t bit = std::uint64_t{1} << (i % BitVector::word_bits());
+      for (std::size_t d = 0; d < dims; ++d)
+        for (int v = range[d].first; v <= range[d].last; ++v)
+          column(d, v)[w] |= bit;
+    }
+  }
+
+  // Calls visit(cell, words, cell_rect) for every lattice cell with a
+  // non-empty membership vector, in increasing lattice id.  `words` and
+  // `cell_rect` are reused buffers, valid only during the call.
+  template <typename Visit>
+  void for_each_occupied(std::span<const std::int64_t> strides, Visit&& visit) {
+    walk(0, 0, strides, visit);
+  }
+
+ private:
+  std::uint64_t* column(std::size_t d, int v) {
+    return columns_[d].data() + static_cast<std::size_t>(v) * words_;
+  }
+
+  template <typename Visit>
+  void walk(std::size_t d, std::int64_t base,
+            std::span<const std::int64_t> strides, Visit& visit) {
+    const bool last_dim = d + 1 == space_->dims();
+    std::uint64_t* out = prefix_.data() + d * words_;
+    const std::uint64_t* above = d == 0 ? nullptr : out - words_;
+    for (int v = 0; v < space_->dim(d).domain_size; ++v) {
+      const std::uint64_t* col = column(d, v);
+      std::uint64_t any = 0;
+      for (std::size_t w = 0; w < words_; ++w) {
+        out[w] = above == nullptr ? col[w] : above[w] & col[w];
+        any |= out[w];
+      }
+      if (any == 0) continue;
+      cell_[d] = Interval::Point(v);
+      const std::int64_t id = base + v * strides[d];
+      if (last_dim)
+        visit(id, std::span<const std::uint64_t>(out, words_), cell_);
+      else
+        walk(d + 1, id, strides, visit);
+    }
+  }
+
+  const EventSpace* space_;
+  std::size_t words_;
+  std::vector<std::vector<std::uint64_t>> columns_;  // [d][v * words_ + w]
+  std::vector<std::uint64_t> prefix_;  // one W-word prefix AND per dimension
+  Rect cell_;                          // rectangle of the cell being visited
+};
 
 }  // namespace
 
@@ -63,112 +150,65 @@ Grid::Grid(const Workload& wl, const PublicationModel& pub)
   for (std::size_t d = dims - 1; d-- > 0;)
     strides_[d] = strides_[d + 1] * space_->dim(d + 1).domain_size;
 
-  // 1. Membership vector per lattice cell.  Subscribers are rasterized in
-  // contiguous shards — one private lattice per shard, OR-merged into the
-  // global lattice in shard order afterwards.  Each bit is a pure function
-  // of one subscriber, so the merged lattice is bit-identical for any
-  // shard count (including the serial single-shard path taken when the
-  // lattice is too large to replicate).
-  std::vector<BitVector> membership(static_cast<std::size_t>(lattice_size_),
-                                    BitVector(num_subscribers_));
-  const auto rasterize = [this, &wl, dims](std::size_t sub_begin,
-                                           std::size_t sub_end,
-                                           std::vector<BitVector>& out,
-                                           bool lazy_alloc) {
-    std::vector<GridValueRange> range(dims);
-    std::vector<int> coord(dims);
-    for (std::size_t i = sub_begin; i < sub_end; ++i) {
-      const Rect& r = wl.subscribers[i].interest;
-      bool empty = false;
-      for (std::size_t d = 0; d < dims; ++d) {
-        range[d] = GridCellsIntersecting(r[d], space_->dim(d).domain_size);
-        if (range[d].last < range[d].first) {
-          empty = true;
-          break;
-        }
-      }
-      if (empty) continue;
+  // 1. Membership columns, one per (dimension, value).
+  MembershipColumns columns(wl);
 
-      // Odometer walk over the covered integer box.
-      for (std::size_t d = 0; d < dims; ++d) coord[d] = range[d].first;
-      while (true) {
-        std::int64_t id = 0;
-        for (std::size_t d = 0; d < dims; ++d) id += coord[d] * strides_[d];
-        BitVector& vec = out[static_cast<std::size_t>(id)];
-        if (lazy_alloc && vec.empty()) vec = BitVector(num_subscribers_);
-        vec.set(i);
-
-        std::size_t d = dims;
-        while (d-- > 0) {
-          if (++coord[d] <= range[d].last) break;
-          coord[d] = range[d].first;
-          if (d == 0) goto next_subscriber;
-        }
-      }
-    next_subscriber:;
-    }
-  };
-
-  const auto num_shards =
-      static_cast<std::size_t>(ThreadPool::global().num_threads());
-  if (num_shards <= 1 || wl.subscribers.size() < 2 * num_shards ||
-      lattice_size_ > kMaxParallelLatticeCells) {
-    rasterize(0, wl.subscribers.size(), membership, /*lazy_alloc=*/false);
-  } else {
-    std::vector<std::vector<BitVector>> shard_mem(
-        num_shards,
-        std::vector<BitVector>(static_cast<std::size_t>(lattice_size_)));
-    const std::size_t per_shard =
-        (wl.subscribers.size() + num_shards - 1) / num_shards;
-    ParallelFor(
-        num_shards,
-        [&](std::size_t s) {
-          const std::size_t begin = std::min(wl.subscribers.size(), s * per_shard);
-          const std::size_t end = std::min(wl.subscribers.size(), begin + per_shard);
-          rasterize(begin, end, shard_mem[s], /*lazy_alloc=*/true);
-        },
-        /*min_parallel=*/1);
-    // Ordered reduction (shard 0 first); OR is also order-independent, so
-    // the merged bits equal the serial pass exactly.
-    for (std::size_t s = 0; s < num_shards; ++s)
-      for (std::int64_t cell = 0; cell < lattice_size_; ++cell) {
-        const BitVector& part = shard_mem[s][static_cast<std::size_t>(cell)];
-        if (!part.empty()) membership[static_cast<std::size_t>(cell)] |= part;
-      }
-  }
-
-  // 2. Merge identical membership vectors into hyper-cells.
-  hyper_of_cell_.assign(static_cast<std::size_t>(lattice_size_), -1);
-  std::unordered_map<std::size_t, std::vector<int>> buckets;
-  for (std::int64_t cell = 0; cell < lattice_size_; ++cell) {
-    const BitVector& vec = membership[static_cast<std::size_t>(cell)];
-    if (vec.none()) continue;
-    ++occupied_cells_;
-
-    const std::size_t h = vec.hash();
+  // 2. Walk the occupied cells in id order and merge equal membership
+  // vectors into hyper-cells as they appear: ids by first occurrence,
+  // `cells` ascending, and each prob summed in cell order.  The
+  // open-addressed table stores hashes and hyper-cell ids and probes
+  // against hyper_cells_[k].members, so each distinct vector exists once.
+  struct Slot {
+    std::uint64_t hash = 0;
     int hyper = -1;
-    for (const int cand : buckets[h]) {
-      if (hyper_cells_[static_cast<std::size_t>(cand)].members == vec) {
-        hyper = cand;
+  };
+  std::vector<Slot> table(1024);
+  const auto grow = [&table] {
+    std::vector<Slot> bigger(table.size() * 2);
+    const std::size_t mask = bigger.size() - 1;
+    for (const Slot& s : table) {
+      if (s.hyper == -1) continue;
+      std::size_t at = s.hash & mask;
+      while (bigger[at].hyper != -1) at = (at + 1) & mask;
+      bigger[at] = s;
+    }
+    table = std::move(bigger);
+  };
+  hyper_of_cell_.assign(static_cast<std::size_t>(lattice_size_), -1);
+  columns.for_each_occupied(strides_, [&](std::int64_t cell,
+                                          std::span<const std::uint64_t> words,
+                                          const Rect& cell_rect) {
+    ++occupied_cells_;
+    const std::uint64_t h = HashWords(words);
+    const std::size_t mask = table.size() - 1;
+    std::size_t at = h & mask;
+    int hyper = -1;
+    for (; table[at].hyper != -1; at = (at + 1) & mask) {
+      const Slot& slot = table[at];
+      const auto members =
+          hyper_cells_[static_cast<std::size_t>(slot.hyper)].members.words();
+      if (slot.hash == h && std::equal(words.begin(), words.end(), members.begin())) {
+        hyper = slot.hyper;
         break;
       }
     }
     if (hyper == -1) {
       hyper = static_cast<int>(hyper_cells_.size());
       HyperCell hc;
-      hc.members = vec;
+      hc.members = BitVector(num_subscribers_, words);
       hyper_cells_.push_back(std::move(hc));
-      buckets[h].push_back(hyper);
+      table[at] = Slot{h, hyper};
+      if (2 * hyper_cells_.size() > table.size()) grow();
     }
-    hyper_cells_[static_cast<std::size_t>(hyper)].cells.push_back(cell);
+    HyperCell& hc = hyper_cells_[static_cast<std::size_t>(hyper)];
+    hc.cells.push_back(cell);
+    hc.prob += pub.rect_mass(cell_rect);
     hyper_of_cell_[static_cast<std::size_t>(cell)] = hyper;
-  }
+  });
 
-  // 3. Publication probability and popularity per hyper-cell.
-  for (HyperCell& hc : hyper_cells_) {
-    for (const std::int64_t cell : hc.cells) hc.prob += pub.rect_mass(cell_rect(cell));
+  // 3. Popularity per hyper-cell.
+  for (HyperCell& hc : hyper_cells_)
     hc.popularity = hc.prob * static_cast<double>(hc.members.count());
-  }
 
   // 4. Sort by decreasing popularity and remap cell→hyper-cell ids.
   std::vector<int> order(hyper_cells_.size());

@@ -32,7 +32,7 @@ struct GridValueRange {
 
 // Values v in [0, domain_size) whose unit cell (v−1, v] intersects the
 // (lo, hi] interval `iv`.  Exposed for the boundary-semantics property
-// test; Grid uses it to rasterize subscriptions.
+// test; Grid uses it to fill its per-dimension membership columns.
 GridValueRange GridCellsIntersecting(const Interval& iv, int domain_size);
 
 struct HyperCell {
@@ -47,6 +47,17 @@ class Grid {
   // Builds membership vectors for every lattice cell of wl.space, merges
   // identical ones into hyper-cells and sorts them by decreasing
   // popularity.  `pub` provides per-cell probabilities.
+  //
+  // A subscription is a conjunction of per-attribute ranges, so s(a) is
+  // the AND, over dimensions, of "subscribers whose range covers a's
+  // value".  The build fills one such membership column per (dimension,
+  // value), then walks the lattice in id order with one prefix AND per
+  // leading dimension: each cell costs one word-wise AND of its prefix and
+  // its last coordinate's column, and an empty prefix skips its whole
+  // sub-lattice.  Equal vectors merge into hyper-cells as they appear, so
+  // hyper-cell ids before the sort follow first occurrence, `cells` is
+  // ascending and `prob` is summed in cell order.  The build is serial and
+  // its output is a pure function of (wl, pub).
   Grid(const Workload& wl, const PublicationModel& pub);
 
   const EventSpace& space() const { return *space_; }

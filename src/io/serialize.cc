@@ -1,5 +1,6 @@
 #include "io/serialize.h"
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -258,6 +259,26 @@ void WriteWorkload(std::ostream& os, const Workload& wl) {
     }
     os << '\n';
   }
+}
+
+std::uint64_t DigestWorkload(std::uint64_t h, const Workload& wl) {
+  const auto dbl = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  h = DigestWord(h, wl.space.dims());
+  for (std::size_t d = 0; d < wl.space.dims(); ++d) {
+    const std::string& name = wl.space.dim(d).name;
+    h = DigestWord(h, name.size());
+    for (const unsigned char c : name) h = DigestWord(h, c);
+    h = DigestWord(h, static_cast<std::uint64_t>(wl.space.dim(d).domain_size));
+  }
+  h = DigestWord(h, wl.subscribers.size());
+  for (const Subscriber& s : wl.subscribers) {
+    h = DigestWord(h, static_cast<std::uint64_t>(s.node));
+    for (const Interval& iv : s.interest.intervals()) {
+      h = DigestWord(h, dbl(iv.lo()));
+      h = DigestWord(h, dbl(iv.hi()));
+    }
+  }
+  return h;
 }
 
 Workload ReadWorkload(std::istream& is) {

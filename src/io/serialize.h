@@ -38,6 +38,18 @@ TransitStubNetwork ReadTransitStub(std::istream& is);
 void WriteWorkload(std::ostream& os, const Workload& wl);
 Workload ReadWorkload(std::istream& is);
 
+// State digests (Broker::state_digest, FleetStateDigest) are a word-wise
+// FNV-1a: one xor-multiply per 64-bit field, starting at kDigestBasis.
+inline constexpr std::uint64_t kDigestBasis = 1469598103934665603ull;
+inline std::uint64_t DigestWord(std::uint64_t h, std::uint64_t word) {
+  return (h ^ word) * 1099511628211ull;
+}
+// Folds the fields WriteWorkload prints into digest state `h`: dimension
+// names and domain sizes, then each subscriber's node and interval bit
+// patterns.  WriteWorkload prints doubles exactly (max_digits10), so any
+// two workloads it prints differently fold different words.
+std::uint64_t DigestWorkload(std::uint64_t h, const Workload& wl);
+
 // ------------------------------------------------------------- clusterings
 // A grid clustering artifact: K plus the assignment of the grid's
 // popularity-ranked hyper-cells (exactly the vector a clustering algorithm

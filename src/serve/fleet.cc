@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <sstream>
 #include <string>
 #include <utility>
 
@@ -12,16 +11,6 @@
 
 namespace pubsub {
 namespace {
-
-// Same digest primitive as the broker's state digest (FNV-1a, 64-bit).
-std::uint64_t Fnv1a(const std::string& bytes) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 // The tombstone GroupManager writes on remove: one default (empty)
 // interval per dimension.  The logical mirror must reproduce it exactly or
@@ -60,10 +49,8 @@ std::uint64_t FleetChainFold(std::uint64_t chain, std::uint64_t seq,
 
 std::uint64_t FleetStateDigest(std::uint64_t seq, const Workload& logical,
                                std::uint64_t match_chain) {
-  std::ostringstream os;
-  os << seq << ' ' << match_chain << '\n';
-  WriteWorkload(os, logical);
-  return Fnv1a(os.str());
+  const std::uint64_t h = DigestWord(DigestWord(kDigestBasis, seq), match_chain);
+  return DigestWorkload(h, logical);
 }
 
 // ----------------------------------------------------------- construction

@@ -117,9 +117,10 @@ std::size_t FleetShardOf(SubscriberId global_id, std::size_t num_shards);
 std::uint64_t FleetChainFold(std::uint64_t chain, std::uint64_t seq,
                              std::span<const SubscriberId> interested);
 
-// The shard-count-invariant fleet digest: FNV-1a over the fleet seq, the
-// match chain and the logical subscription table.  Equal digests at equal
-// seq mean identical future match decisions at any shard count.
+// The shard-count-invariant fleet digest: word-wise FNV-1a over the fleet
+// seq, the match chain and the logical subscription table's raw fields.
+// Equal digests at equal seq mean identical future match decisions at any
+// shard count.
 std::uint64_t FleetStateDigest(std::uint64_t seq, const Workload& logical,
                                std::uint64_t match_chain);
 

@@ -3,8 +3,17 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <stdexcept>
 
 namespace pubsub {
+
+BitVector::BitVector(std::size_t nbits, std::span<const std::uint64_t> words)
+    : nbits_(nbits), words_(words.begin(), words.end()) {
+  if (words_.size() != (nbits + kWordBits - 1) / kWordBits)
+    throw std::invalid_argument("BitVector: word count does not match size");
+  if (nbits % kWordBits != 0 && (words_.back() >> (nbits % kWordBits)) != 0)
+    throw std::invalid_argument("BitVector: bit set beyond size");
+}
 
 void BitVector::clear_all() {
   std::fill(words_.begin(), words_.end(), 0);

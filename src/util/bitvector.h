@@ -21,6 +21,10 @@ class BitVector {
   BitVector() = default;
   explicit BitVector(std::size_t nbits)
       : nbits_(nbits), words_((nbits + kWordBits - 1) / kWordBits, 0) {}
+  // Adopts raw words (bit i is bit i%64 of word i/64).  Throws
+  // std::invalid_argument unless there are exactly ceil(nbits/64) words and
+  // no bit at or above nbits is set.
+  BitVector(std::size_t nbits, std::span<const std::uint64_t> words);
 
   std::size_t size() const { return nbits_; }
   bool empty() const { return nbits_ == 0; }

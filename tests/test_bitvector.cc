@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <random>
 #include <set>
+#include <stdexcept>
+#include <vector>
 
 namespace pubsub {
 namespace {
@@ -130,6 +133,24 @@ TEST(BitVector, EqualityAndHash) {
   EXPECT_FALSE(a == b);
   // Different sizes are never equal, even when both are empty.
   EXPECT_FALSE(BitVector(64) == BitVector(65));
+}
+
+TEST(BitVector, AdoptsRawWordsAndChecksTheirCount) {
+  BitVector v(130);
+  v.set(0);
+  v.set(64);
+  v.set(129);
+  const std::vector<std::uint64_t> words(v.words().begin(), v.words().end());
+  EXPECT_EQ(BitVector(130, words), v);
+  EXPECT_EQ(BitVector(0, {}), BitVector(0));
+
+  const std::vector<std::uint64_t> two(2, 0);
+  EXPECT_THROW(BitVector(130, two), std::invalid_argument);  // 3 words needed
+  EXPECT_THROW(BitVector(64, words), std::invalid_argument);
+  // Bit 130 lies beyond the size; count() and == would see it.
+  std::vector<std::uint64_t> stray = words;
+  stray[2] |= std::uint64_t{1} << 2;
+  EXPECT_THROW(BitVector(130, stray), std::invalid_argument);
 }
 
 TEST(BitVector, ToString) {

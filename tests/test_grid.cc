@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <map>
 #include <set>
+#include <unordered_map>
 
 #include "core/grid.h"
+#include "util/rng.h"
 #include "workload/publication_model.h"
 
 namespace pubsub {
@@ -262,6 +266,243 @@ TEST(Grid, SubscriberOutsideDomainIgnored) {
   const Grid grid(wl, *pub);
   EXPECT_EQ(grid.num_occupied_cells(), 0);
   EXPECT_TRUE(grid.hyper_cells().empty());
+}
+
+// ---------------------------------------------------------------------------
+// Oracle fuzz: Grid's column build against the per-subscriber box
+// rasterization it replaced, kept here as the brute-force reference.
+
+struct ReferenceGrid {
+  std::vector<HyperCell> hyper_cells;  // decreasing popularity
+  std::vector<int> hyper_of_cell;
+  std::int64_t occupied_cells = 0;
+};
+
+// One BitVector per lattice cell; every subscriber sets its bit in each
+// cell of its covered integer box; equal vectors merge in cell order; prob
+// is summed per hyper-cell in cell order; a stable sort by popularity.
+ReferenceGrid RasterizeReference(const Workload& wl, const PublicationModel& pub) {
+  const std::size_t dims = wl.space.dims();
+  std::vector<std::int64_t> strides(dims, 1);
+  for (std::size_t d = dims - 1; d-- > 0;)
+    strides[d] = strides[d + 1] * wl.space.dim(d + 1).domain_size;
+  const std::int64_t lattice = strides[0] * wl.space.dim(0).domain_size;
+
+  std::vector<BitVector> membership(static_cast<std::size_t>(lattice),
+                                    BitVector(wl.num_subscribers()));
+  std::vector<GridValueRange> range(dims);
+  std::vector<int> coord(dims);
+  for (std::size_t i = 0; i < wl.subscribers.size(); ++i) {
+    bool empty = false;
+    for (std::size_t d = 0; d < dims; ++d) {
+      range[d] = GridCellsIntersecting(wl.subscribers[i].interest[d],
+                                       wl.space.dim(d).domain_size);
+      empty = empty || range[d].last < range[d].first;
+    }
+    if (empty) continue;
+    for (std::size_t d = 0; d < dims; ++d) coord[d] = range[d].first;
+    for (bool more = true; more;) {
+      std::int64_t id = 0;
+      for (std::size_t d = 0; d < dims; ++d) id += coord[d] * strides[d];
+      membership[static_cast<std::size_t>(id)].set(i);
+      more = false;
+      for (std::size_t d = dims; d-- > 0;) {
+        if (++coord[d] <= range[d].last) {
+          more = true;
+          break;
+        }
+        coord[d] = range[d].first;
+      }
+    }
+  }
+
+  ReferenceGrid ref;
+  ref.hyper_of_cell.assign(static_cast<std::size_t>(lattice), -1);
+  std::unordered_map<std::size_t, std::vector<int>> buckets;
+  std::vector<HyperCell> unsorted;
+  for (std::int64_t cell = 0; cell < lattice; ++cell) {
+    const BitVector& vec = membership[static_cast<std::size_t>(cell)];
+    if (vec.none()) continue;
+    ++ref.occupied_cells;
+    int hyper = -1;
+    for (const int cand : buckets[vec.hash()])
+      if (unsorted[static_cast<std::size_t>(cand)].members == vec) hyper = cand;
+    if (hyper == -1) {
+      hyper = static_cast<int>(unsorted.size());
+      unsorted.push_back(HyperCell{vec, 0.0, 0.0, {}});
+      buckets[vec.hash()].push_back(hyper);
+    }
+    unsorted[static_cast<std::size_t>(hyper)].cells.push_back(cell);
+    ref.hyper_of_cell[static_cast<std::size_t>(cell)] = hyper;
+  }
+  for (HyperCell& hc : unsorted) {
+    for (const std::int64_t cell : hc.cells) {
+      std::vector<Interval> ivals;
+      for (std::size_t d = 0; d < dims; ++d)
+        ivals.push_back(Interval::Point(static_cast<int>(
+            (cell / strides[d]) % wl.space.dim(d).domain_size)));
+      hc.prob += pub.rect_mass(Rect(std::move(ivals)));
+    }
+    hc.popularity = hc.prob * static_cast<double>(hc.members.count());
+  }
+
+  std::vector<int> order(unsorted.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
+  std::stable_sort(order.begin(), order.end(), [&unsorted](int a, int b) {
+    return unsorted[static_cast<std::size_t>(a)].popularity >
+           unsorted[static_cast<std::size_t>(b)].popularity;
+  });
+  std::vector<int> rank_of(order.size());
+  for (std::size_t rank = 0; rank < order.size(); ++rank) {
+    rank_of[static_cast<std::size_t>(order[rank])] = static_cast<int>(rank);
+    ref.hyper_cells.push_back(unsorted[static_cast<std::size_t>(order[rank])]);
+  }
+  for (int& h : ref.hyper_of_cell)
+    if (h != -1) h = rank_of[static_cast<std::size_t>(h)];
+  return ref;
+}
+
+std::uint64_t Bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// One endpoint drawn from the cases the build must agree on: integral,
+// fractional, outside the domain on either side, and unbounded.
+double RandomEndpoint(Rng& rng, int domain) {
+  switch (rng.uniform_int(0, 5)) {
+    case 0:
+      return static_cast<double>(rng.uniform_int(-1, domain - 1));
+    case 1:
+      return static_cast<double>(rng.uniform_int(-2, domain)) +
+             0.25 * static_cast<double>(rng.uniform_int(1, 3));
+    case 2:
+      return -static_cast<double>(rng.uniform_int(2, 40));
+    case 3:
+      return static_cast<double>(domain + rng.uniform_int(0, 40));
+    case 4:
+      return rng.bernoulli(0.5) ? -Interval::kInf : Interval::kInf;
+    default:
+      return static_cast<double>(rng.uniform_int(0, domain - 1)) - 0.5;
+  }
+}
+
+Rect RandomInterest(Rng& rng, const EventSpace& space) {
+  const std::size_t dims = space.dims();
+  if (rng.uniform_int(0, 15) == 0)  // tombstone: GroupManager's removal rect
+    return Rect(std::vector<Interval>(dims, Interval()));
+  std::vector<Interval> ivals;
+  for (std::size_t d = 0; d < dims; ++d) {
+    const int domain = space.dim(d).domain_size;
+    const auto kind = rng.uniform_int(0, 9);
+    if (kind == 0) {
+      ivals.push_back(Interval::All());
+    } else if (kind <= 2) {
+      double a = RandomEndpoint(rng, domain), b = RandomEndpoint(rng, domain);
+      if (a > b) std::swap(a, b);
+      ivals.emplace_back(a, b);  // may be empty when a == b
+    } else {
+      // A short integral window, the common stock-workload shape.
+      const auto lo = rng.uniform_int(-1, domain - 1);
+      ivals.emplace_back(static_cast<double>(lo),
+                         static_cast<double>(lo + rng.uniform_int(0, 4)));
+    }
+  }
+  return Rect(std::move(ivals));
+}
+
+std::unique_ptr<PublicationModel> RandomPub(Rng& rng, const EventSpace& space) {
+  std::vector<Marginal1D> marginals;
+  for (std::size_t d = 0; d < space.dims(); ++d) {
+    const int n = space.dim(d).domain_size;
+    if (rng.bernoulli(0.3)) {
+      marginals.push_back(Marginal1D::UniformInt(n));
+      continue;
+    }
+    std::vector<double> w(static_cast<std::size_t>(n));
+    for (double& x : w) x = rng.bernoulli(0.2) ? 0.0 : rng.uniform(0.0, 1.0);
+    w[static_cast<std::size_t>(rng.uniform_int(0, n - 1))] = 1.0;  // nonzero total
+    marginals.push_back(Marginal1D::Categorical(std::move(w)));
+  }
+  return std::make_unique<ProductPublicationModel>(space, std::move(marginals),
+                                                   std::vector<NodeId>{0});
+}
+
+void ExpectGridMatchesReference(const Workload& wl, const PublicationModel& pub,
+                                const std::string& label) {
+  const Grid grid(wl, pub);
+  const ReferenceGrid ref = RasterizeReference(wl, pub);
+  ASSERT_EQ(grid.num_occupied_cells(), ref.occupied_cells) << label;
+  ASSERT_EQ(grid.hyper_cells().size(), ref.hyper_cells.size()) << label;
+  for (std::size_t h = 0; h < ref.hyper_cells.size(); ++h) {
+    const HyperCell& got = grid.hyper_cells()[h];
+    const HyperCell& want = ref.hyper_cells[h];
+    ASSERT_EQ(got.members, want.members) << label << " hyper " << h;
+    ASSERT_EQ(got.cells, want.cells) << label << " hyper " << h;
+    ASSERT_EQ(Bits(got.prob), Bits(want.prob)) << label << " hyper " << h;
+    ASSERT_EQ(Bits(got.popularity), Bits(want.popularity)) << label << " hyper " << h;
+  }
+  for (std::int64_t cell = 0; cell < grid.num_lattice_cells(); ++cell)
+    ASSERT_EQ(grid.hyper_cell_of(cell),
+              ref.hyper_of_cell[static_cast<std::size_t>(cell)])
+        << label << " cell " << cell;
+}
+
+TEST(GridOracle, ColumnBuildMatchesBoxRasterization) {
+  Rng rng(20261017);
+  int cases = 0;
+  for (const std::size_t subs : {0, 1, 63, 64, 65, 129, 1000}) {
+    // Large populations get smaller lattices so the reference's
+    // per-cell vectors stay cheap under ASan.
+    const std::int64_t max_lattice = subs >= 1000 ? 3000 : 12000;
+    for (int trial = 0; trial < 24; ++trial) {
+      const auto dims = static_cast<std::size_t>(1 + trial % 5);
+      std::vector<DimensionSpec> specs;
+      std::int64_t lattice = 1;
+      for (std::size_t d = 0; d < dims; ++d) {
+        int n = static_cast<int>(rng.uniform_int(1, 25));
+        while (n > 1 && lattice * n > max_lattice) n /= 2;
+        lattice *= n;
+        specs.push_back({"d" + std::to_string(d), n});
+      }
+      Workload wl;
+      wl.space = EventSpace(std::move(specs));
+      for (std::size_t i = 0; i < subs; ++i)
+        wl.subscribers.push_back(
+            Subscriber{static_cast<NodeId>(i), RandomInterest(rng, wl.space)});
+      const auto pub = RandomPub(rng, wl.space);
+      ExpectGridMatchesReference(
+          wl, *pub,
+          "subs=" + std::to_string(subs) + " trial=" + std::to_string(trial) +
+              " space=" + wl.space.to_string());
+      ++cases;
+    }
+  }
+  EXPECT_EQ(cases, 168);
+}
+
+// Workloads with many identical and nested rects: every cell's vector
+// repeats many times, so the hyper-cell table's probe chains and growth
+// are exercised, and popularity ties exercise the stable order.
+TEST(GridOracle, RepeatedRectsAndPopularityTiesMatchReference) {
+  Rng rng(7);
+  Workload wl;
+  wl.space = EventSpace({{"a", 25}, {"b", 25}, {"c", 9}});
+  for (int i = 0; i < 300; ++i) {
+    std::vector<Interval> ivals;
+    for (std::size_t d = 0; d < 3; ++d) {
+      const int n = wl.space.dim(d).domain_size;
+      const auto lo = rng.uniform_int(-1, n - 2);
+      ivals.emplace_back(static_cast<double>(lo),
+                         static_cast<double>(lo + 1 + rng.uniform_int(0, 2)));
+    }
+    const Rect r(std::move(ivals));
+    for (int copies = static_cast<int>(rng.uniform_int(1, 3)); copies-- > 0;)
+      wl.subscribers.push_back(
+          Subscriber{static_cast<NodeId>(wl.subscribers.size()), r});
+  }
+  const auto uniform = UniformPub(wl);
+  ExpectGridMatchesReference(wl, *uniform, "uniform");
+  Rng pub_rng(8);
+  const auto skewed = RandomPub(pub_rng, wl.space);
+  ExpectGridMatchesReference(wl, *skewed, "skewed");
 }
 
 }  // namespace
