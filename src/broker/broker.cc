@@ -513,22 +513,22 @@ void Broker::journal_append(const std::string& text, const JournalRecord* rec) {
     if (rec != nullptr) Inc(c_journal_bytes_, text.size());
     return;
   }
-  const DurabilityOptions& d = options_.durability;
   std::size_t offset = 0;
   std::size_t failures = 0;
-  double delay_ms = d.backoff_base_ms;
+  double delay_ms = kJournalBackoffBaseMs;
   const auto on_failure = [&](const char* what) {
     Inc(c_flush_failures_);
-    if (failures >= d.flush_retries) enter_degraded(what, text, offset, rec);
+    if (failures >= kJournalFlushRetries)
+      enter_degraded(what, text, offset, rec);
     ++failures;
     Inc(c_flush_retries_);
-    // Capped exponential backoff.  With a ManualClock (the deterministic
-    // default) the broker advances time itself so retry schedules replay
-    // exactly; under a wall clock the delay is advisory — the caller owns
-    // actual sleeping.
+    // Exponential backoff.  With a ManualClock (the deterministic default)
+    // the broker advances time itself so retry schedules replay exactly;
+    // under a wall clock the delay is advisory — the caller owns actual
+    // sleeping.
     if (auto* manual = dynamic_cast<ManualClock*>(clock_))
       manual->advance(delay_ms);
-    delay_ms = std::min(delay_ms * 2.0, d.backoff_cap_ms);
+    delay_ms *= 2.0;
   };
   while (offset < text.size()) {
     const std::size_t wrote =
@@ -555,7 +555,7 @@ void Broker::enter_degraded(const std::string& why, const std::string& text,
   Set(g_degraded_, 1.0);
   throw BrokerDegradedError(
       "broker degraded (read-only): " + why + " after " +
-      std::to_string(options_.durability.flush_retries) + " retries");
+      std::to_string(kJournalFlushRetries) + " retries");
 }
 
 bool Broker::clear_degraded() {

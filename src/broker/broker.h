@@ -75,24 +75,22 @@ struct BrokerObsOptions {
 };
 
 // How the broker responds to journal-flush failures (fsync errors, short
-// writes that make no progress).  A failed flush is retried with capped
-// exponential backoff — deterministic when the command clock is a
-// ManualClock, which the broker advances by each backoff delay — and when
-// the budget is exhausted the broker *degrades* instead of crashing: the
-// rejected command is rolled off, matching keeps serving reads, and every
-// further mutation throws BrokerDegradedError until clear_degraded()
-// verifies the sink again (see docs/OPERATIONS.md, "Degraded mode").
-struct DurabilityOptions {
-  std::size_t flush_retries = 4;   // retries after the first failed attempt
-  double backoff_base_ms = 1.0;    // first retry delay
-  double backoff_cap_ms = 64.0;    // delay ceiling (base * 2^k clamped)
-};
+// writes that make no progress).  A failed flush is retried
+// kJournalFlushRetries times with exponential backoff from
+// kJournalBackoffBaseMs (1 + 2 + 4 + 8 = 15 ms) — deterministic when the
+// command clock is a ManualClock, which the broker advances by each backoff
+// delay — and when the budget is exhausted the broker *degrades* instead of
+// crashing: the rejected command is rolled off, matching keeps serving
+// reads, and every further mutation throws BrokerDegradedError until
+// clear_degraded() verifies the sink again (see docs/OPERATIONS.md,
+// "Degraded mode").
+inline constexpr std::size_t kJournalFlushRetries = 4;
+inline constexpr double kJournalBackoffBaseMs = 1.0;
 
 struct BrokerOptions {
   GroupManagerOptions group;
   RefreshPolicyOptions refresh;
   RuntimeParams runtime;
-  DurabilityOptions durability;
   BrokerObsOptions obs;
 };
 

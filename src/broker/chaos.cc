@@ -1,15 +1,12 @@
 #include "broker/chaos.h"
 
-#include <filesystem>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
 #include "broker/replica.h"
-#include "broker/snapshot_file.h"
 #include "io/serialize.h"
-#include "storage/page_file.h"
 #include "util/failpoint.h"
 #include "util/rng.h"
 #include "workload/stock_model.h"
@@ -408,199 +405,6 @@ std::string FormatChaosReport(const ChaosReport& r) {
              ? "bit-identical"
              : "MISMATCH")
      << "\n";
-  return os.str();
-}
-
-// ---------------------------------------------------------------------------
-// Real-filesystem storage chaos
-
-StorageChaosReport RunStorageChaos(const Broker& broker,
-                                   const StorageChaosOptions& opts) {
-  namespace fs = std::filesystem;
-  if (opts.dir.empty()) {
-    throw std::invalid_argument("RunStorageChaos: opts.dir must be set");
-  }
-  fs::create_directories(fs::path(opts.dir));
-  FailPoints& fp = FailPoints::Instance();
-  fp.clear();
-
-  std::ostringstream ref_os;
-  broker.write_snapshot(ref_os);
-  const std::string reference = ref_os.str();
-
-  const std::string good =
-      (fs::path(opts.dir) / "storage_chaos.snapshot").string();
-  const std::string tmp = good + ".tmp";  // SaveSnapshotPageFile's temp path
-  const std::string torn = good + ".torn";
-  std::error_code ec;
-  fs::remove(good, ec);
-  fs::remove(tmp, ec);
-
-  StorageChaosReport rep;
-
-  const auto save = [&] {
-    return SaveSnapshotPageFile(good, broker, opts.page_size);
-  };
-
-  // Read `file` back and compare its re-serialization with the reference.
-  // Where a fault is expected (`detected` set), a StorageError or a clipped
-  // tail is a typed detection, not a parity verdict; on a clean read any
-  // StorageError is itself a mismatch.
-  const auto parity = [&](const std::string& file, bool* detected) {
-    std::size_t clipped = 0;
-    BrokerSnapshot back;
-    try {
-      back = LoadSnapshotPageFile(file, nullptr, &clipped);
-    } catch (const StorageError&) {
-      if (detected == nullptr)
-        ++rep.parity_mismatches;
-      else
-        *detected = true;
-      return;
-    }
-    if (clipped > 0 && detected != nullptr) *detected = true;
-    std::ostringstream os;
-    WriteBrokerSnapshot(os, back);
-    ++rep.parity_checks;
-    if (os.str() != reference) ++rep.parity_mismatches;
-  };
-
-  // Bootstrap: one clean save committed as the good file.
-  const std::int64_t pages = save().pages;
-  parity(good, nullptr);
-
-  // Fault offsets are drawn below the blob's page count, so every armed
-  // fault fires: a save writes each blob page, then the header, then
-  // flushes once, and a read-back reads each blob page once.
-  Rng chaos(opts.chaos_seed);
-  const auto below_pages = [&] {
-    return std::to_string(chaos.uniform_int(0, pages - 1));
-  };
-  for (std::size_t cycle = 0; cycle < opts.cycles; ++cycle) {
-    ++rep.cycles;
-    const std::size_t mode = cycle % 7;
-    switch (mode) {
-      case 0:    // crash mid-save: temp abandoned, good file must survive
-      case 1: {  // torn page write mid-save: same recovery protocol
-        const std::string skip = below_pages();
-        const std::string arg =
-            std::to_string(chaos.uniform_int(0, opts.page_size - 1));
-        fp.configure(mode == 0
-                         ? "storage.page.write=crash*1^" + skip
-                         : "storage.page.write=torn:" + arg + "*1^" + skip);
-        bool crashed = false;
-        try {
-          save();
-        } catch (const InjectedCrash&) {
-          crashed = true;
-        }
-        fp.clear();
-        if (crashed) {
-          ++rep.crashes;
-          ++rep.faults_by_site["storage.page.write"];
-          parity(good, nullptr);  // the lost save left the good file alone
-          save();  // recovery: save again from the source of truth
-          ++rep.resaves;
-        }
-        parity(good, nullptr);
-        break;
-      }
-      case 2: {  // short page write: the retry loop must absorb it
-        const std::string skip = below_pages();
-        const std::string arg =
-            std::to_string(chaos.uniform_int(0, opts.page_size - 1));
-        fp.configure("storage.page.write=error:" + arg + "*1^" + skip);
-        save();  // must succeed despite the injected short write
-        if (fp.fired("storage.page.write") > 0) {
-          ++rep.short_writes;
-          ++rep.faults_by_site["storage.page.write"];
-        }
-        fp.clear();
-        parity(good, nullptr);
-        break;
-      }
-      case 3: {  // single flush failure: healed by one retry
-        fp.configure("storage.flush=error*1");
-        save();
-        if (fp.fired("storage.flush") > 0) {
-          ++rep.flush_retries;
-          ++rep.faults_by_site["storage.flush"];
-        }
-        fp.clear();
-        parity(good, nullptr);
-        break;
-      }
-      case 4: {  // persistent flush failure at the save's durability point:
-                 // degraded, save abandoned
-        fp.configure("storage.flush=error*100");
-        bool degraded = false;
-        try {
-          save();
-        } catch (const StorageDegradedError&) {
-          degraded = true;
-        }
-        fp.clear();
-        if (degraded) {
-          ++rep.degraded_entries;
-          ++rep.faults_by_site["storage.flush"];
-          parity(good, nullptr);
-          save();
-          ++rep.resaves;
-        }
-        parity(good, nullptr);
-        break;
-      }
-      case 5: {  // injected read error while reading the good file back
-        fp.configure("storage.page.read=error*1^" + below_pages());
-        bool detected = false;
-        parity(good, &detected);
-        if (detected) {
-          ++rep.read_errors;
-          ++rep.faults_by_site["storage.page.read"];
-        }
-        fp.clear();
-        parity(good, nullptr);  // clean re-read must be bit-identical
-        break;
-      }
-      default: {  // physical torn tail: truncate a copy at a random offset
-        fs::copy_file(good, torn, fs::copy_options::overwrite_existing);
-        const std::uint64_t size = fs::file_size(torn);
-        const std::uint64_t cut = static_cast<std::uint64_t>(
-            chaos.uniform_int(0, static_cast<std::int64_t>(size - 1)));
-        fs::resize_file(torn, cut);
-        bool detected = false;
-        parity(torn, &detected);
-        if (detected) ++rep.torn_tails;
-        fs::remove(torn, ec);
-        break;
-      }
-    }
-  }
-
-  fp.clear();
-  fs::remove(good, ec);
-  fs::remove(tmp, ec);
-  return rep;
-}
-
-std::string FormatStorageChaosReport(const StorageChaosReport& r) {
-  std::ostringstream os;
-  os << "storage cycles    " << r.cycles << "\n"
-     << "crashes survived  " << r.crashes << "\n"
-     << "short writes      " << r.short_writes << " healed by retry\n"
-     << "flush retries     " << r.flush_retries << " healed by backoff\n"
-     << "degraded saves    " << r.degraded_entries
-     << " abandoned, previous file kept\n"
-     << "re-saves          " << r.resaves << " after a lost save\n"
-     << "read errors       " << r.read_errors << " surfaced as typed errors\n"
-     << "torn tails        " << r.torn_tails << " detected at read\n"
-     << "parity checks     " << r.parity_checks << " ("
-     << r.parity_mismatches << " mismatches)\n";
-  os << "faults by site\n";
-  for (const auto& [site, n] : r.faults_by_site)
-    os << "  " << site << "  " << n << "\n";
-  os << "verdict           "
-     << (r.ok() ? "bit-identical" : "MISMATCH") << "\n";
   return os.str();
 }
 

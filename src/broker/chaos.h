@@ -76,49 +76,4 @@ ChaosReport RunChaos(const TransitStubNetwork& net, const Workload& base,
 // Multi-line human-readable rendering (pubsub_cli chaos).
 std::string FormatChaosReport(const ChaosReport& r);
 
-// ---------------------------------------------------------------------------
-// Real-filesystem storage chaos (pubsub_cli chaos --storage=disk).
-//
-// The in-memory chaos harness above exercises the broker's durability logic
-// against string-backed sinks; the storage drill complements it by saving
-// and reading back the snapshot page files `--storage=disk` writes
-// (broker/snapshot_file.h) on an actual filesystem, through the three
-// storage.* fail-point sites (short write, read error, flush failure →
-// degraded mode) plus physical torn tails (the page file truncated at an
-// arbitrary byte offset).
-//
-// Protocol under test: a save builds the page file at a temp path and
-// renames it over the previous good file only after a clean flush — so any
-// crash or degraded flush mid-save must leave the last good file reading
-// back to a snapshot that re-serializes to the reference bytes.
-
-struct StorageChaosOptions {
-  std::string dir;           // directory for page files (must exist)
-  std::uint64_t chaos_seed = 1;  // fault rotation stream
-  std::size_t cycles = 40;   // fault/recover cycles
-  std::uint32_t page_size = 1024;
-};
-
-struct StorageChaosReport {
-  std::size_t cycles = 0;
-  std::size_t crashes = 0;          // InjectedCrash kills survived mid-save
-  std::size_t read_errors = 0;      // injected read errors surfaced typed
-  std::size_t short_writes = 0;     // short page writes healed by retry
-  std::size_t flush_retries = 0;    // flush failures healed by retry
-  std::size_t degraded_entries = 0; // saves abandoned in degraded mode
-  std::size_t torn_tails = 0;       // physical truncations detected at read
-  std::size_t resaves = 0;          // clean saves after a lost one
-  std::size_t parity_checks = 0;    // read-backs compared with the reference
-  std::size_t parity_mismatches = 0;  // any non-zero value is a found bug
-  std::map<std::string, std::uint64_t> faults_by_site;
-  bool ok() const { return parity_mismatches == 0 && parity_checks > 0; }
-};
-
-// Run the drill on `broker`'s snapshot; the reference bytes are what
-// Broker::write_snapshot emits.
-StorageChaosReport RunStorageChaos(const Broker& broker,
-                                   const StorageChaosOptions& opts);
-
-std::string FormatStorageChaosReport(const StorageChaosReport& r);
-
 }  // namespace pubsub

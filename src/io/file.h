@@ -12,7 +12,7 @@
 //     caller retries the remainder.
 //   * flush() pushes accepted bytes to stable storage; false means the
 //     bytes may not be durable (fsync error) and the caller must retry or
-//     degrade (see Broker's DurabilityOptions).
+//     degrade (see kJournalFlushRetries in broker/broker.h).
 //   * Either call may throw InjectedCrash (simulated process death).
 #pragma once
 

@@ -1,23 +1,32 @@
 #include "io/serialize.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iomanip>
 #include <istream>
+#include <iterator>
 #include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+
+#include "io/crc32.h"
+#include "io/string_stream.h"
 
 namespace pubsub {
 namespace {
 
-// Reader with line counting for error messages.
+// Reader with line counting for error messages.  Blank and '#' lines are
+// skipped unless `skip_comments` is false (the journal, whose every line
+// must be a checksummed record).
 class LineReader {
  public:
-  explicit LineReader(std::istream& is) : is_(is) {}
+  explicit LineReader(std::istream& is, bool skip_comments = true)
+      : is_(is), skip_comments_(skip_comments) {}
 
   std::string next() {
     std::string line;
@@ -32,7 +41,7 @@ class LineReader {
     while (std::getline(is_, line)) {
       ++line_no_;
       if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.empty() || line[0] == '#') continue;
+      if (skip_comments_ && (line.empty() || line[0] == '#')) continue;
       // getline sets eofbit iff it stopped at end-of-stream instead of a
       // delimiter, so this is exactly "the line has its trailing newline".
       last_terminated_ = !is_.eof();
@@ -60,6 +69,7 @@ class LineReader {
 
  private:
   std::istream& is_;
+  bool skip_comments_;
   int line_no_ = 0;
   bool last_terminated_ = true;
 };
@@ -111,6 +121,60 @@ std::vector<std::string> SplitN(LineReader& r, const std::string& line, std::siz
     r.fail("expected " + std::to_string(n) + " fields, got " +
            std::to_string(toks.size()));
   return toks;
+}
+
+// ---------------------------------------------------------------- checksums
+// Every durable broker artifact is checked with CRC-32C, spelled as eight
+// lowercase hex digits.  A journal record line ends in the CRC of the bytes
+// before its last space.  Snapshots and manifests end in the trailer line
+// "crc32c <hex> <bytes>": the CRC and length of every byte before it,
+// header included.
+
+std::string CrcHex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::uint32_t crc = Crc32c(bytes.data(), bytes.size());
+  std::string hex(8, '0');
+  for (std::size_t i = 8; i-- > 0; crc >>= 4) hex[i] = kDigits[crc & 0xFu];
+  return hex;
+}
+
+std::string TrailerFor(std::string_view body) {
+  return "crc32c " + CrcHex(body) + ' ' + std::to_string(body.size());
+}
+
+void WriteChecksummed(std::ostream& os, const std::string& body) {
+  os << body << TrailerFor(body) << '\n';
+}
+
+// Reads all of `is`, requires its first line to be `header` and its final
+// line to be the trailer of everything before it, and returns the bytes
+// before the trailer.  This runs before any record is parsed, so damage
+// anywhere (a torn tail included: it loses the trailer) fails here.
+std::string ReadChecksummed(std::istream& is, const std::string& header) {
+  std::string text{std::istreambuf_iterator<char>(is),
+                   std::istreambuf_iterator<char>()};
+  const auto fail = [&text](std::size_t at, const std::string& what) {
+    const auto line =
+        1 + std::count(text.begin(),
+                       text.begin() + static_cast<std::ptrdiff_t>(at), '\n');
+    throw std::runtime_error("parse error at line " + std::to_string(line) +
+                             ": " + what);
+  };
+  const std::string first = text.substr(0, text.find('\n'));
+  if (first != header)
+    fail(0, "expected '" + header + "', got '" + first + "'");
+  if (text.back() != '\n')
+    fail(text.size(), "unterminated final line (torn write, no trailer)");
+  const std::size_t start = text.rfind('\n', text.size() - 2) + 1;
+  const std::string trailer = text.substr(start, text.size() - start - 1);
+  if (trailer.rfind("crc32c ", 0) != 0)
+    fail(start, "missing crc32c trailer (truncated file?)");
+  const std::string want = TrailerFor(std::string_view(text).substr(0, start));
+  if (trailer != want)
+    fail(start, "checksum mismatch: trailer '" + trailer +
+                    "', content hashes to '" + want + "'");
+  text.resize(start);
+  return text;
 }
 
 }  // namespace
@@ -457,33 +521,41 @@ CoveringState ReadCovering(std::istream& is, std::size_t dims) {
   return state;
 }
 
+namespace {
+constexpr char kSnapshotHeader[] = "pubsub-broker-snapshot v4";
+}  // namespace
+
 void WriteBrokerSnapshot(std::ostream& os, const BrokerSnapshot& snap) {
-  os << "pubsub-broker-snapshot v3\n";
-  os << "seq " << snap.seq << '\n';
-  os << "churn-since-full-build " << snap.churn_since_full_build << '\n';
+  std::ostringstream body;
+  body << kSnapshotHeader << '\n';
+  body << "seq " << snap.seq << '\n';
+  body << "churn-since-full-build " << snap.churn_since_full_build << '\n';
   BrokerStats stats_copy = snap.stats;
-  os << "stats";
-  for (const std::uint64_t* field : StatFields(stats_copy)) os << ' ' << *field;
-  os << '\n';
-  os << "queue " << snap.queue_state.size() << '\n';
+  body << "stats";
+  for (const std::uint64_t* field : StatFields(stats_copy))
+    body << ' ' << *field;
+  body << '\n';
+  body << "queue " << snap.queue_state.size() << '\n';
   for (const double v : snap.queue_state) {
-    WriteDouble(os, v);
-    os << '\n';
+    WriteDouble(body, v);
+    body << '\n';
   }
-  WriteWorkload(os, snap.workload);
+  WriteWorkload(body, snap.workload);
   ClusteringFile c;
   c.num_groups = snap.num_groups;
   c.cells_fed = static_cast<std::size_t>(snap.cells_fed);
   c.assignment = snap.assignment;
-  WriteClustering(os, c);
-  WriteCovering(os, snap.covering);
+  WriteClustering(body, c);
+  WriteCovering(body, snap.covering);
+  WriteChecksummed(os, body.str());
 }
 
-BrokerSnapshot ReadBrokerSnapshot(std::istream& is) {
+BrokerSnapshot ReadBrokerSnapshot(std::istream& file) {
+  std::istringstream is(ReadChecksummed(file, kSnapshotHeader));
   BrokerSnapshot snap;
   {
     LineReader r(is);
-    r.expect(r.next(), "pubsub-broker-snapshot v3");
+    r.expect(r.next(), kSnapshotHeader);
     const auto seq_line = SplitN(r, r.next(), 2);
     if (seq_line[0] != "seq") r.fail("expected 'seq'");
     snap.seq = ParseCount(r, seq_line[1]);
@@ -520,42 +592,54 @@ BrokerSnapshot ReadBrokerSnapshot(std::istream& is) {
   return snap;
 }
 
+namespace {
+constexpr char kJournalHeader[] = "pubsub-journal v2";
+}  // namespace
+
 void WriteJournalHeader(std::ostream& os, std::size_t dims) {
-  os << "pubsub-journal v1\n";
+  os << kJournalHeader << '\n';
   os << "dims " << dims << '\n';
 }
 
 void WriteJournalRecord(std::ostream& os, const JournalRecord& rec,
                         std::size_t dims) {
-  os << rec.seq << ' ';
-  WriteDouble(os, rec.cmd.time_ms);
+  // Formatted into a per-thread buffer first, so the CRC covers exactly the
+  // bytes written, the record reaches `os` in one write (a rejected command
+  // writes nothing), and the publish path stays allocation-free once the
+  // buffer has grown.
+  thread_local StringStream line;
+  line.reset();
+  line << rec.seq << ' ';
+  WriteDouble(line, rec.cmd.time_ms);
   switch (rec.cmd.type) {
     case BrokerCommandType::kSubscribe:
       if (rec.cmd.interest.dims() != dims)
         throw std::invalid_argument("WriteJournalRecord: interest dims mismatch");
-      os << " sub " << rec.cmd.node;
-      WriteRect(os, rec.cmd.interest);
+      line << " sub " << rec.cmd.node;
+      WriteRect(line, rec.cmd.interest);
       break;
     case BrokerCommandType::kUnsubscribe:
-      os << " unsub " << rec.cmd.subscriber;
+      line << " unsub " << rec.cmd.subscriber;
       break;
     case BrokerCommandType::kUpdate:
       if (rec.cmd.interest.dims() != dims)
         throw std::invalid_argument("WriteJournalRecord: interest dims mismatch");
-      os << " upd " << rec.cmd.subscriber;
-      WriteRect(os, rec.cmd.interest);
+      line << " upd " << rec.cmd.subscriber;
+      WriteRect(line, rec.cmd.interest);
       break;
     case BrokerCommandType::kPublish:
       if (rec.cmd.point.size() != dims)
         throw std::invalid_argument("WriteJournalRecord: point dims mismatch");
-      os << " pub " << rec.cmd.node;
+      line << " pub " << rec.cmd.node;
       for (const double x : rec.cmd.point) {
-        os << ' ';
-        WriteDouble(os, x);
+        line << ' ';
+        WriteDouble(line, x);
       }
       break;
   }
-  os << '\n';
+  const std::string crc = CrcHex(line.str());
+  line << ' ' << crc << '\n';
+  os.write(line.str().data(), static_cast<std::streamsize>(line.str().size()));
 }
 
 const char* JournalErrorCodeName(JournalErrorCode code) {
@@ -579,10 +663,18 @@ JournalError::JournalError(JournalErrorCode code, int line_no,
 namespace {
 
 // One record line, seq checks excluded (the caller owns the gap/torn-tail
-// classification).  Throws plain runtime_error via r.fail on damage.
+// classification).  The CRC field is checked before anything is parsed.
+// Throws plain runtime_error via r.fail on damage.
 JournalRecord ParseJournalRecordLine(LineReader& r, const std::string& line,
                                      std::size_t dims) {
-  const std::vector<std::string> toks = Split(line);
+  const std::size_t space = line.rfind(' ');
+  if (space == std::string::npos) r.fail("journal record has no crc32c field");
+  const std::string body = line.substr(0, space);
+  const std::string want = CrcHex(body);
+  if (line.compare(space + 1, std::string::npos, want) != 0)
+    r.fail("journal record checksum mismatch: field '" +
+           line.substr(space + 1) + "', record hashes to '" + want + "'");
+  const std::vector<std::string> toks = Split(body);
   if (toks.size() < 4) r.fail("truncated journal record");
   JournalRecord rec;
   rec.seq = ParseCount(r, toks[0]);
@@ -632,10 +724,10 @@ JournalRecord ParseJournalRecordLine(LineReader& r, const std::string& line,
 
 JournalFile ParseJournal(std::istream& is, bool lenient, bool* torn_tail,
                          std::string* tail_error) {
-  LineReader r(is);
+  LineReader r(is, /*skip_comments=*/false);
   JournalFile jf;
   try {
-    r.expect(r.next(), "pubsub-journal v1");
+    r.expect(r.next(), kJournalHeader);
     const auto dims_line = SplitN(r, r.next(), 2);
     if (dims_line[0] != "dims") r.fail("expected 'dims'");
     const long dims = ParseLong(r, dims_line[1]);
@@ -709,30 +801,37 @@ JournalReadResult ReadJournalLenient(std::istream& is) {
 
 // ---------------------------------------------------------- fleet manifests
 
+namespace {
+constexpr char kManifestHeader[] = "pubsub-fleet-manifest v2";
+}  // namespace
+
 void WriteFleetManifest(std::ostream& os, const FleetManifest& m) {
-  os << "pubsub-fleet-manifest v1\n";
-  os << "seq " << m.seq << '\n';
-  os << "chain " << m.match_chain << '\n';
-  os << "shards " << m.shards.size() << '\n';
+  std::ostringstream body;
+  body << kManifestHeader << '\n';
+  body << "seq " << m.seq << '\n';
+  body << "chain " << m.match_chain << '\n';
+  body << "shards " << m.shards.size() << '\n';
   for (std::size_t k = 0; k < m.shards.size(); ++k) {
     const FleetManifestShard& s = m.shards[k];
-    os << "shard " << k << ' ' << s.seq << ' ' << s.global_ids.size() << '\n';
+    body << "shard " << k << ' ' << s.seq << ' ' << s.global_ids.size() << '\n';
     if (!s.global_ids.empty()) {
       for (std::size_t i = 0; i < s.global_ids.size(); ++i)
-        os << (i == 0 ? "" : " ") << s.global_ids[i];
-      os << '\n';
+        body << (i == 0 ? "" : " ") << s.global_ids[i];
+      body << '\n';
     }
   }
+  WriteChecksummed(os, body.str());
 }
 
-FleetManifest ReadFleetManifest(std::istream& is) {
+FleetManifest ReadFleetManifest(std::istream& file) {
+  std::istringstream is(ReadChecksummed(file, kManifestHeader));
   LineReader r(is);
-  r.expect(r.next(), "pubsub-fleet-manifest v1");
+  r.expect(r.next(), kManifestHeader);
   FleetManifest m;
   {
     const auto toks = SplitN(r, r.next(), 2);
     if (toks[0] != "seq") r.fail("expected 'seq'");
-    m.seq = static_cast<std::uint64_t>(ParseLong(r, toks[1]));
+    m.seq = ParseCount(r, toks[1]);
   }
   {
     const auto toks = SplitN(r, r.next(), 2);
@@ -760,7 +859,7 @@ FleetManifest ReadFleetManifest(std::istream& is) {
     if (toks[0] != "shard") r.fail("expected 'shard'");
     if (ParseLong(r, toks[1]) != k) r.fail("shard entries out of order");
     FleetManifestShard& s = m.shards[static_cast<std::size_t>(k)];
-    s.seq = static_cast<std::uint64_t>(ParseLong(r, toks[2]));
+    s.seq = ParseCount(r, toks[2]);
     const long slots = ParseLong(r, toks[3]);
     if (slots < 0) r.fail("negative slot count");
     if (slots > 0) {

@@ -8,6 +8,12 @@
 // Doubles round-trip exactly (max_digits10); unbounded interval ends are
 // the tokens `-inf` / `inf`.  Readers validate counts and ranges and throw
 // std::runtime_error with a line-number message on malformed input.
+//
+// The broker's durable artifacts (snapshot, journal, fleet manifest) are
+// also checksummed with CRC-32C (io/crc32.h), and every check lives here:
+// a journal record line ends in the CRC of the rest of the line, and a
+// snapshot or manifest ends in a `crc32c <hex> <bytes>` trailer over every
+// byte before it, verified before anything past the header is parsed.
 #pragma once
 
 #include <cstdint>
@@ -73,15 +79,18 @@ CoveringState ReadCovering(std::istream& is, std::size_t dims);
 
 // Snapshot: the full recovery image of broker/broker.h, captured at a
 // refresh boundary (embeds the workload, clustering and covering records
-// above).  The format is v3, which carries the covering-table image; the
-// reader rejects any other version as a bad header.
+// above).  The format is v4: v3's covering-table image plus the crc32c
+// trailer.  The reader rejects any other version as a bad header, and a
+// missing or mismatched trailer (a torn or altered file) before parsing.
 void WriteBrokerSnapshot(std::ostream& os, const BrokerSnapshot& snap);
 BrokerSnapshot ReadBrokerSnapshot(std::istream& is);
 
-// Write-ahead journal: a header naming the event-space dimensionality,
-// then one line per sequenced command, appendable as the broker runs.
-// ReadJournal validates the header and requires contiguous, strictly
-// increasing sequence numbers.
+// Write-ahead journal (v2): a header naming the event-space
+// dimensionality, then one line per sequenced command, appendable as the
+// broker runs.  Each record line ends in its own CRC-32C, so one record is
+// one atomic, self-checking append.  ReadJournal validates the header and
+// every CRC, and requires contiguous, strictly increasing sequence numbers;
+// unlike the other formats, it skips no blank or '#' lines.
 void WriteJournalHeader(std::ostream& os, std::size_t dims);
 void WriteJournalRecord(std::ostream& os, const JournalRecord& rec,
                         std::size_t dims);
@@ -95,10 +104,10 @@ struct JournalFile {
 // artifact of a crash mid-append and recovery simply drops it, while a
 // sequence gap or a damaged interior record means lost updates — the
 // journal cannot be trusted and the operator must re-bootstrap from a
-// newer snapshot (docs/OPERATIONS.md, "Journal damage matrix").
+// newer snapshot (docs/OPERATIONS.md, "Damage matrix").
 enum class JournalErrorCode {
   kBadHeader,        // magic/version/dims lines missing or wrong
-  kMalformedRecord,  // a newline-terminated record is damaged (corruption)
+  kMalformedRecord,  // a newline-terminated record is damaged (bad CRC)
   kTornTail,         // the final line lacks its newline: crash mid-append
   kSeqGap,           // sequence not contiguous from 1: lost records
 };
@@ -137,7 +146,8 @@ JournalReadResult ReadJournalLenient(std::istream& is);
 // shard broker's sequence number and the local-slot → global-id map
 // (tombstoned slots included; slots are never reused).  The manifest plus
 // one refresh-boundary BrokerSnapshot and one journal per shard, plus the
-// fleet-level journal tail, is the complete fleet recovery recipe.
+// fleet-level journal tail, is the complete fleet recovery recipe.  The
+// format is v2, checksummed by the same trailer as a snapshot.
 struct FleetManifestShard {
   std::uint64_t seq = 0;                 // shard broker seq at capture
   std::vector<SubscriberId> global_ids;  // local slot -> global subscriber id

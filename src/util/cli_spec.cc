@@ -45,16 +45,6 @@ std::vector<CliFlag> BrokerFlags() {
   };
 }
 
-// Paged-storage flags for the subcommands that read or write snapshot
-// artifacts (snapshot, serve-replay, recover, stats, chaos).
-std::vector<CliFlag> StorageFlags() {
-  return {
-      {"storage", "mem|disk",
-       "snapshot artifact backend: text file (mem) or paged page-file (disk)"},
-      {"page-size", "BYTES", "page size for --storage=disk files (4096)"},
-  };
-}
-
 std::vector<CliFlag> ModelFlags() {
   return {
       {"modes", "1|4|9", "stock-model publication hot spots (default 1)"},
@@ -122,7 +112,7 @@ std::vector<CliCommand> BuildCommands() {
            {"net", "PATH", "network file (required)"},
            {"workload", "PATH", "workload file (required)"},
            {"out", "PATH", "output snapshot file (required)"},
-       } + ModelFlags() + StorageFlags() + BrokerFlags() + CommonFlags()});
+       } + ModelFlags() + BrokerFlags() + CommonFlags()});
 
   cmds.push_back(
       {"serve-replay",
@@ -140,7 +130,7 @@ std::vector<CliCommand> BuildCommands() {
            {"trace-sample", "N", "retain spans for every N-th command (0)"},
            {"trace-out", "PATH", "write retained publish-path spans"},
            {"modes", "1|4|9", "stock-model publication hot spots (1)"},
-       } + StorageFlags() + BrokerFlags() + CommonFlags()});
+       } + BrokerFlags() + CommonFlags()});
 
   cmds.push_back(
       {"serve",
@@ -201,7 +191,7 @@ std::vector<CliCommand> BuildCommands() {
            {"net", "PATH", "network file (required)"},
            {"snapshot", "PATH", "snapshot file (required)"},
            {"journal", "PATH", "journal to replay past the snapshot"},
-       } + ModelFlags() + StorageFlags() + BrokerFlags() + CommonFlags()});
+       } + ModelFlags() + BrokerFlags() + CommonFlags()});
 
   cmds.push_back(
       {"stats",
@@ -210,7 +200,7 @@ std::vector<CliCommand> BuildCommands() {
            {"net", "PATH", "network file (required)"},
            {"snapshot", "PATH", "snapshot file (required)"},
            {"journal", "PATH", "journal to replay past the snapshot"},
-       } + ModelFlags() + StorageFlags() + BrokerFlags() + CommonFlags()});
+       } + ModelFlags() + BrokerFlags() + CommonFlags()});
 
   cmds.push_back(
       {"chaos",
@@ -229,12 +219,8 @@ std::vector<CliCommand> BuildCommands() {
             "also run N fleet kill/promote cycles under "
             "promote.journal_handoff (0 = skip)"},
            {"shards", "N", "fleet shards for the promotion cycles (3)"},
-           {"storage-dir", "PATH",
-            "also run the snapshot page-file drill in this directory when "
-            "--storage=disk"},
-           {"storage-cycles", "N", "storage-drill fault cycles (40)"},
            {"modes", "1|4|9", "stock-model publication hot spots (1)"},
-       } + StorageFlags() + BrokerFlags() + CommonFlags()});
+       } + BrokerFlags() + CommonFlags()});
 
   return cmds;
 }

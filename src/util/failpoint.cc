@@ -217,14 +217,6 @@ const std::vector<FailPointSite>& FailPoints::KnownSites() {
       {"replica.apply", "crash applying a streamed record on a standby"},
       {"snapshot.flush", "snapshot fsync: error = flush failure"},
       {"snapshot.write", "snapshot serialization: torn/crashed write"},
-      {"storage.flush",
-       "page-file fsync: error = flush failure (retried, then the writer "
-       "degrades)"},
-      {"storage.page.read",
-       "page-file read: error = injected I/O error; crash = death mid-read"},
-      {"storage.page.write",
-       "page-file write: error = short write of ARG bytes (retried); "
-       "torn = ARG bytes land then crash; crash = death pre-write"},
   };
   return sites;
 }

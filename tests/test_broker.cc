@@ -620,7 +620,7 @@ TEST(Broker, UnknownChurnTargetRejectedWithoutDesync) {
                std::out_of_range);
 }
 
-// Snapshot format v3 embeds the covering table verbatim; restoring it must
+// The snapshot format embeds the covering table verbatim; restoring it must
 // land on the same state as the live broker.
 TEST(Broker, SnapshotRoundTripRestoresCoveringTable) {
   BrokerFixture f;
@@ -705,10 +705,7 @@ TEST_F(BrokerFaultTest, PostJournalCrashLeavesTheRecordDurable) {
 
 TEST_F(BrokerFaultTest, PersistentFlushFailureBacksOffThenDegrades) {
   BrokerFixture f;
-  BrokerOptions opts = f.SmallOptions();
-  opts.durability.flush_retries = 6;
-  opts.durability.backoff_base_ms = 1.0;
-  opts.durability.backoff_cap_ms = 4.0;
+  const BrokerOptions opts = f.SmallOptions();
   const auto schedule =
       BuildChaosSchedule(f.scenario.net, f.scenario.workload, 10, 5, 7);
 
@@ -722,13 +719,13 @@ TEST_F(BrokerFaultTest, PersistentFlushFailureBacksOffThenDegrades) {
   FailPoints::Instance().configure("journal.flush=error");
   EXPECT_THROW(broker.apply(schedule[1]), BrokerDegradedError);
 
-  // Capped exponential backoff, deterministic through the manual clock:
-  // 1 + 2 + 4 + 4 + 4 + 4 = 19ms across the six retries.
-  EXPECT_DOUBLE_EQ(clock.now_ms() - before_ms, 19.0);
+  // Exponential backoff, deterministic through the manual clock:
+  // 1 + 2 + 4 + 8 = 15ms across the kJournalFlushRetries = 4 retries.
+  EXPECT_DOUBLE_EQ(clock.now_ms() - before_ms, 15.0);
   EXPECT_TRUE(broker.degraded());
   const BrokerStats& s = broker.stats();
-  EXPECT_EQ(s.journal_flush_retries, 6u);
-  EXPECT_EQ(s.journal_flush_failures, 7u);  // initial attempt + 6 retries
+  EXPECT_EQ(s.journal_flush_retries, 4u);
+  EXPECT_EQ(s.journal_flush_failures, 5u);  // initial attempt + 4 retries
   EXPECT_EQ(s.degraded_entries, 1u);
   EXPECT_EQ(broker.seq(), 1u);  // the faulted command did not take effect
 }

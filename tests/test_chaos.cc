@@ -123,47 +123,5 @@ TEST(Chaos, ZeroCyclesIsACleanReplay) {
   EXPECT_TRUE(r.replica_matches);
 }
 
-// Storage chaos drill: the snapshot page files --storage=disk writes, on a
-// real filesystem, driven through every storage.* fault mode plus physical
-// torn tails; the surviving file must always read back to the snapshot the
-// broker wrote.
-TEST(Chaos, StorageDrillSurvivesAllFaultModes) {
-  const Scenario sc = MakeStockScenario(50, PublicationHotSpots::kOne, 61);
-  BrokerOptions bopts;
-  bopts.group.num_groups = 8;
-  bopts.group.max_cells = 300;
-  ManualClock clock;
-  Broker broker(sc.workload, *sc.pub, sc.net.graph, bopts, &clock);
-  for (const JournalRecord& rec :
-       BuildChaosSchedule(sc.net, sc.workload, 60, 5, 7)) {
-    clock.advance_to(rec.cmd.time_ms);
-    broker.apply(rec);
-  }
-
-  StorageChaosOptions opts;
-  opts.dir = ::testing::TempDir();
-  opts.cycles = 14;  // two full rotations of the 7-mode fault schedule
-  opts.page_size = 1024;
-
-  const StorageChaosReport r = RunStorageChaos(broker, opts);
-  EXPECT_EQ(r.cycles, 14u);
-  EXPECT_TRUE(r.ok()) << "parity mismatches: " << r.parity_mismatches;
-  EXPECT_GT(r.parity_checks, 0u);
-  // Each rotation exercises every mode at least once.
-  EXPECT_GE(r.crashes, 2u);           // modes 0/1 (crash, torn) x2 rotations
-  EXPECT_GE(r.short_writes, 2u);      // mode 2
-  EXPECT_GE(r.flush_retries, 2u);     // mode 3
-  EXPECT_GE(r.degraded_entries, 2u);  // mode 4
-  EXPECT_GE(r.read_errors, 2u);       // mode 5
-  EXPECT_GE(r.torn_tails, 2u);        // mode 6
-  EXPECT_GE(r.resaves, 2u);
-
-  // The drill must disarm the global registry behind itself.
-  EXPECT_FALSE(FailPoints::Instance().active());
-
-  const std::string report = FormatStorageChaosReport(r);
-  EXPECT_NE(report.find("bit-identical"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace pubsub

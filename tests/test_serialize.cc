@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
+#include <string>
+#include <string_view>
 
+#include "io/crc32.h"
 #include "sim/scenario.h"
 
 namespace pubsub {
@@ -15,6 +19,65 @@ T RoundTrip(const T& value, WriteFn write, ReadFn read) {
   write(os, value);
   std::istringstream is(os.str());
   return read(is);
+}
+
+// The message `read` throws on `text` ("" if it accepts it).
+template <typename ReadFn>
+std::string ErrorOf(ReadFn read, const std::string& text) {
+  std::istringstream is(text);
+  try {
+    read(is);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// The CRC field as the formats spell it: eight lowercase hex digits.
+std::string CrcField(std::string_view bytes) {
+  char buf[9];
+  std::snprintf(buf, sizeof buf, "%08x",
+                static_cast<unsigned>(Crc32c(bytes.data(), bytes.size())));
+  return buf;
+}
+
+// A snapshot or manifest (trailer included or not) with its crc32c trailer
+// recomputed, so a damaged input gets past the checksum to the parse check
+// a test targets.
+std::string Reseal(std::string text) {
+  const std::size_t trailer = text.rfind("crc32c ");
+  if (trailer != std::string::npos) text.resize(trailer);
+  return text + "crc32c " + CrcField(text) + ' ' +
+         std::to_string(text.size()) + '\n';
+}
+
+// A hand-written journal record line with a valid CRC field.
+std::string Sealed(const std::string& body) {
+  return body + ' ' + CrcField(body) + '\n';
+}
+
+TEST(Crc32, KnownAnswerAndChaining) {
+  // CRC-32C check value from RFC 3720 ("123456789" -> 0xE3069283).
+  const char* s = "123456789";
+  EXPECT_EQ(Crc32c(s, 9), 0xE3069283u);
+  // Chained partial checksums equal the one-shot checksum.
+  EXPECT_EQ(Crc32c(s + 4, 5, Crc32c(s, 4)), Crc32c(s, 9));
+  EXPECT_NE(Crc32c(s, 9), Crc32c(s, 8));
+  // The 32-byte iSCSI test vectors of RFC 3720 (B.4) span whole 8-byte
+  // blocks; chaining at every split point crosses each block boundary.
+  std::string zeros(32, '\0'), ones(32, '\xFF'), up(32, '\0'), down(32, '\0');
+  for (std::size_t i = 0; i < 32; ++i) {
+    up[i] = static_cast<char>(i);
+    down[i] = static_cast<char>(31 - i);
+  }
+  EXPECT_EQ(Crc32c(zeros.data(), 32), 0x8A9136AAu);
+  EXPECT_EQ(Crc32c(ones.data(), 32), 0x62A8AB43u);
+  EXPECT_EQ(Crc32c(up.data(), 32), 0x46DD794Eu);
+  EXPECT_EQ(Crc32c(down.data(), 32), 0x113FDB5Cu);
+  for (std::size_t cut = 0; cut <= 32; ++cut)
+    EXPECT_EQ(Crc32c(up.data() + cut, 32 - cut, Crc32c(up.data(), cut)),
+              0x46DD794Eu)
+        << "cut=" << cut;
 }
 
 TEST(Serialize, GraphRoundTrip) {
@@ -204,11 +267,12 @@ TEST(Serialize, BrokerSnapshotRejectsVersionSkewAndDamage) {
   std::ostringstream os;
   WriteBrokerSnapshot(os, MakeBrokerSnapshot());
   const std::string full = os.str();
+  EXPECT_EQ(ErrorOf(ReadBrokerSnapshot, full), "");
 
   // Any other format version fails as a bad header, not mis-parsed: a
-  // future one, and the pre-covering v1/v2 formats no reader accepts.
-  const std::string header = "pubsub-broker-snapshot v3";
-  for (const std::string version : {"v1", "v2", "v4"}) {
+  // future one, and the pre-checksum v1-v3 formats no reader accepts.
+  const std::string header = "pubsub-broker-snapshot v4";
+  for (const std::string version : {"v1", "v2", "v3", "v5"}) {
     std::string skewed = full;
     skewed.replace(skewed.find(header), header.size(),
                    "pubsub-broker-snapshot " + version);
@@ -229,14 +293,40 @@ TEST(Serialize, BrokerSnapshotRejectsVersionSkewAndDamage) {
   const std::size_t stats_end = short_stats.find('\n', stats_pos);
   const std::size_t last_space = short_stats.rfind(' ', stats_end);
   short_stats.erase(last_space, stats_end - last_space);
-  std::istringstream short_is(short_stats);
-  EXPECT_THROW(ReadBrokerSnapshot(short_is), std::runtime_error);
+  EXPECT_NE(ErrorOf(ReadBrokerSnapshot, Reseal(short_stats))
+                .find("fields, got"),
+            std::string::npos);
 
   // Negative counters are rejected.
   std::string negative = full;
   negative.replace(negative.find("seq 42"), 6, "seq -2");
-  std::istringstream neg_is(negative);
-  EXPECT_THROW(ReadBrokerSnapshot(neg_is), std::runtime_error);
+  EXPECT_NE(ErrorOf(ReadBrokerSnapshot, Reseal(negative))
+                .find("negative counter"),
+            std::string::npos);
+
+  // One changed digit in the group assignment (the clustering a recovered
+  // broker adopts verbatim) still parses, so only the checksum catches it.
+  std::string regrouped = full;
+  const std::size_t cells = regrouped.find("cells 4\n");
+  const std::size_t second = regrouped.find('\n', cells + 8) + 1;
+  ASSERT_EQ(regrouped.substr(second, 2), "3\n");
+  regrouped[second] = '1';
+  EXPECT_EQ(ErrorOf(ReadBrokerSnapshot, Reseal(regrouped)), "");
+  EXPECT_NE(ErrorOf(ReadBrokerSnapshot, regrouped).find("checksum mismatch"),
+            std::string::npos);
+
+  // A damaged or missing trailer: a torn tail loses it.
+  std::string bad_crc = full;
+  const std::size_t hex = bad_crc.rfind("crc32c ") + 7;
+  bad_crc[hex] = bad_crc[hex] == '0' ? '1' : '0';
+  EXPECT_NE(ErrorOf(ReadBrokerSnapshot, bad_crc).find("checksum mismatch"),
+            std::string::npos);
+  EXPECT_NE(ErrorOf(ReadBrokerSnapshot, full.substr(0, full.rfind("crc32c ")))
+                .find("missing crc32c trailer"),
+            std::string::npos);
+  EXPECT_NE(ErrorOf(ReadBrokerSnapshot, full.substr(0, full.size() - 1))
+                .find("unterminated"),
+            std::string::npos);
 }
 
 TEST(Serialize, BrokerSnapshotRejectsDamagedCovering) {
@@ -249,21 +339,24 @@ TEST(Serialize, BrokerSnapshotRejectsDamagedCovering) {
   skewed.replace(skewed.find("pubsub-covering v1"),
                  std::string("pubsub-covering v1").size(),
                  "pubsub-covering v2");
-  std::istringstream skew_is(skewed);
-  EXPECT_THROW(ReadBrokerSnapshot(skew_is), std::runtime_error);
+  EXPECT_NE(ErrorOf(ReadBrokerSnapshot, Reseal(skewed))
+                .find("expected 'pubsub-covering v1'"),
+            std::string::npos);
 
   // A negative rider id inside an entry record is rejected.
   std::string negative = full;
   const std::size_t entry_pos = negative.find("entry 0");
   const std::size_t subs_pos = negative.find('\n', entry_pos) + 1;
   negative.replace(subs_pos, 1, "-3");  // first rider line ("3" -> "-3")
-  std::istringstream neg_is(negative);
-  EXPECT_THROW(ReadBrokerSnapshot(neg_is), std::runtime_error);
+  EXPECT_NE(ErrorOf(ReadBrokerSnapshot, Reseal(negative))
+                .find("negative subscriber id"),
+            std::string::npos);
 
   // Truncation inside the covering section is rejected.
-  std::string truncated = full.substr(0, full.find("entry 1"));
-  std::istringstream trunc_is(truncated);
-  EXPECT_THROW(ReadBrokerSnapshot(trunc_is), std::runtime_error);
+  const std::string truncated = full.substr(0, full.find("entry 1"));
+  EXPECT_NE(ErrorOf(ReadBrokerSnapshot, Reseal(truncated))
+                .find("unexpected end of file"),
+            std::string::npos);
 }
 
 std::vector<JournalRecord> SampleJournal() {
@@ -335,29 +428,55 @@ TEST(Serialize, JournalRejectsBadSequences) {
 
 TEST(Serialize, JournalRejectsVersionSkewAndDamage) {
   const std::string full = JournalText(SampleJournal(), 2);
+  const auto error_of = [](const std::string& text) {
+    return ErrorOf(ReadJournal, text);
+  };
+  EXPECT_EQ(error_of(full), "");
 
-  std::string skewed = full;
-  skewed.replace(skewed.find("v1"), 2, "v2");
-  std::istringstream skew_is(skewed);
-  EXPECT_THROW(ReadJournal(skew_is), std::runtime_error);
+  // The pre-checksum v1 format, and a future one, fail as a bad header.
+  for (const std::string version : {"v1", "v3"}) {
+    std::string skewed = full;
+    skewed.replace(skewed.find("v2"), 2, version);
+    EXPECT_NE(error_of(skewed).find("[bad-header]"), std::string::npos);
+  }
 
-  // A torn final line — the classic crash-mid-append artifact — fails on
-  // its field count instead of inventing a command.  (A cut *within* a
-  // numeric token can still parse as a shorter valid number; the field
-  // count is what guards a lost token.)
-  std::istringstream torn(full + "5 4.5 pub 2 1.25\n");  // coordinate lost
-  EXPECT_THROW(ReadJournal(torn), std::runtime_error);
-  std::istringstream headless(full.substr(0, 10));
-  EXPECT_THROW(ReadJournal(headless), std::runtime_error);
+  // A record that lost a token fails on its field count instead of
+  // inventing a command, even with a valid CRC.  (A cut *within* a numeric
+  // token can still parse as a shorter valid number; the CRC is what
+  // guards that.)
+  EXPECT_NE(error_of(full + Sealed("5 4.5 pub 2 1.25"))  // coordinate lost
+                .find("bad publish record"),
+            std::string::npos);
+  EXPECT_NE(error_of(full.substr(0, 10)), "");
 
   // Unknown command types and bad timestamps are rejected.
-  std::istringstream unknown(
-      "pubsub-journal v1\ndims 2\n1 0.5 frobnicate 3\n");
-  EXPECT_THROW(ReadJournal(unknown), std::runtime_error);
-  std::istringstream negative_time("pubsub-journal v1\ndims 2\n1 -4 unsub 3\n");
-  EXPECT_THROW(ReadJournal(negative_time), std::runtime_error);
-  std::istringstream inf_time("pubsub-journal v1\ndims 2\n1 inf unsub 3\n");
-  EXPECT_THROW(ReadJournal(inf_time), std::runtime_error);
+  const std::string header = "pubsub-journal v2\ndims 2\n";
+  EXPECT_NE(error_of(header + Sealed("1 0.5 frobnicate 3"))
+                .find("unknown journal record type"),
+            std::string::npos);
+  for (const std::string time : {"-4", "inf"})
+    EXPECT_NE(error_of(header + Sealed("1 " + time + " unsub 3"))
+                  .find("bad command timestamp"),
+              std::string::npos);
+
+  // Damage that still parses is caught by the record's CRC, at its line
+  // (the last record is line 6): a first byte turned to '#' does not make
+  // the record a comment, and a changed origin node does not replay.
+  std::string commented = full;
+  const std::size_t last = commented.rfind('\n', commented.size() - 2) + 1;
+  commented[last] = '#';
+  EXPECT_NE(error_of(commented).find("[malformed-record] at line 6"),
+            std::string::npos);
+  std::string moved = full;
+  moved.replace(moved.find(" pub 2 "), 7, " pub 3 ");
+  EXPECT_NE(error_of(moved).find("[malformed-record] at line 6"),
+            std::string::npos);
+  EXPECT_NE(error_of(moved).find("checksum mismatch"), std::string::npos);
+  // Nor is a blank line between records skipped.
+  std::string blank = full;
+  blank.insert(last, "\n");
+  EXPECT_NE(error_of(blank).find("[malformed-record] at line 6"),
+            std::string::npos);
 }
 
 // Journal failures carry distinct error codes, because they demand distinct
@@ -376,10 +495,10 @@ TEST(Serialize, JournalErrorCodesDistinguishFailures) {
   };
 
   // Truncation of the final line (no trailing newline) is a torn tail —
-  // whether the prefix still parses as a record or not.
+  // whether the prefix still passes its CRC and parses as a record or not.
   EXPECT_EQ(code_of(full.substr(0, full.size() - 1)),
             JournalErrorCode::kTornTail);
-  // Cut deep enough to lose a whole field, so the line cannot parse.
+  // Cut into the record's body, so the line fails its CRC.
   EXPECT_EQ(code_of(full.substr(0, full.size() - 21)),
             JournalErrorCode::kTornTail);
 
@@ -435,6 +554,64 @@ TEST(Serialize, LenientJournalReadDropsOnlyTheTornTail) {
   gap[2].seq = 7;
   std::istringstream gap_is(JournalText(gap, 2));
   EXPECT_THROW(ReadJournalLenient(gap_is), JournalError);
+}
+
+FleetManifest SampleManifest() {
+  FleetManifest m;
+  m.seq = 57;
+  m.match_chain = 0xfedcba9876543210ull;  // needs the full unsigned range
+  m.shards.resize(2);
+  m.shards[0].seq = 31;
+  m.shards[0].global_ids = {0, 2, 5};
+  m.shards[1].seq = 26;  // an empty shard writes no id line
+  return m;
+}
+
+TEST(Serialize, FleetManifestRejectsDamage) {
+  std::ostringstream os;
+  WriteFleetManifest(os, SampleManifest());
+  const std::string full = os.str();
+  const auto error_of = [](const std::string& text) {
+    return ErrorOf(ReadFleetManifest, text);
+  };
+  std::istringstream is(full);
+  const FleetManifest back = ReadFleetManifest(is);
+  EXPECT_EQ(back.seq, 57u);
+  EXPECT_EQ(back.match_chain, 0xfedcba9876543210ull);
+  ASSERT_EQ(back.shards.size(), 2u);
+  EXPECT_EQ(back.shards[0].global_ids, (std::vector<SubscriberId>{0, 2, 5}));
+  EXPECT_EQ(back.shards[1].seq, 26u);
+
+  const auto damaged = [&full](const std::string& from, const std::string& to) {
+    std::string text = full;
+    text.replace(text.find(from), from.size(), to);
+    return text;
+  };
+  // Negative fleet and shard sequence numbers fail the parse, not wrap
+  // around to 2^64 - n.
+  EXPECT_NE(error_of(Reseal(damaged("seq 57", "seq -1"))).find("negative"),
+            std::string::npos);
+  EXPECT_NE(error_of(Reseal(damaged("shard 0 31 3", "shard 0 -3 3")))
+                .find("negative"),
+            std::string::npos);
+  EXPECT_NE(error_of(Reseal(damaged("shard 1 26 0", "shard 0 26 0")))
+                .find("shard entries out of order"),
+            std::string::npos);
+  // The pre-checksum v1 format fails as a bad header.
+  EXPECT_NE(error_of(damaged("manifest v2", "manifest v1"))
+                .find("expected 'pubsub-fleet-manifest v2'"),
+            std::string::npos);
+  // Any unresealed change, and a damaged trailer, fail the checksum.
+  EXPECT_NE(error_of(damaged("shard 0 31 3", "shard 0 30 3"))
+                .find("checksum mismatch"),
+            std::string::npos);
+  std::string bad_trailer = full;
+  char& count_digit = bad_trailer[bad_trailer.size() - 2];  // trailer's length
+  count_digit = count_digit == '9' ? '8' : '9';
+  EXPECT_NE(error_of(bad_trailer).find("checksum mismatch"), std::string::npos);
+  EXPECT_NE(error_of(full.substr(0, full.rfind("crc32c ")))
+                .find("missing crc32c trailer"),
+            std::string::npos);
 }
 
 TEST(Serialize, FileHelpersRoundTrip) {

@@ -30,8 +30,6 @@
 
 #include "broker/broker.h"
 #include "broker/chaos.h"
-#include "broker/snapshot_file.h"
-#include "storage/page_file.h"
 #include "serve/catchup.h"
 #include "serve/event_loop.h"
 #include "serve/fleet.h"
@@ -300,38 +298,26 @@ void PrintBrokerReport(const Broker& broker) {
               (unsigned long long)broker.state_digest());
 }
 
-// --storage/--page-size: which backend snapshot artifacts use.  mem keeps
-// the original text files; disk routes them through the paged storage tier
-// (docs/STORAGE.md).
-struct StorageConfig {
-  bool disk = false;
-  std::uint32_t page_size = 4096;
-};
-
-StorageConfig StorageConfigFromFlags(const Flags& flags) {
-  StorageConfig cfg;
-  const std::string backend = flags.get("storage", "mem");
-  if (backend == "disk")
-    cfg.disk = true;
-  else if (backend != "mem")
-    Usage("unknown --storage '" + backend + "' (want mem|disk)");
-  cfg.page_size = static_cast<std::uint32_t>(flags.get_int("page-size", 4096));
-  return cfg;
+void SaveSnapshotFile(const std::string& path, const Broker& broker) {
+  std::ostringstream os;
+  broker.write_snapshot(os);
+  // Atomic replace: a crash mid-checkpoint must leave the previous
+  // snapshot readable (docs/OPERATIONS.md, "Snapshot protocol").
+  SaveToFileAtomic(path, os.str());
 }
 
-void SaveSnapshotFile(const std::string& path, const Broker& broker,
-                      const StorageConfig& storage) {
-  if (!storage.disk) {
-    std::ostringstream os;
-    broker.write_snapshot(os);
-    // Atomic replace: a crash mid-checkpoint must leave the previous
-    // snapshot readable (docs/OPERATIONS.md, "Snapshot protocol").
-    SaveToFileAtomic(path, os.str());
-    return;
+// Parse the durable artifact at `path` with `read`.  A damaged file (a
+// checksum mismatch, a torn trailer, a bad record) fails with its path in
+// the message, so the operator knows which file to replace
+// (docs/OPERATIONS.md, "Damage matrix").
+template <typename Read>
+auto ReadArtifact(const std::string& path, Read read) {
+  std::istringstream is(LoadFromFile(path));
+  try {
+    return read(is);
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error(path + ": " + e.what());
   }
-  // Page-file analogue of the same protocol (broker/snapshot_file.h).
-  SaveSnapshotPageFile(path, broker, storage.page_size,
-                       &MetricsRegistry::Default());
 }
 
 // Bootstrap a seq-0 snapshot from a workload: cold-cluster it once and
@@ -350,14 +336,12 @@ int Snapshot(const Flags& flags) {
   Workload wl = ReadWorkload(wl_is);
 
   const auto model = ModelFor(net, wl, flags);
-  const StorageConfig storage = StorageConfigFromFlags(flags);
   const Broker broker(std::move(wl), *model, net.graph,
                       BrokerOptionsFromFlags(flags));
-  SaveSnapshotFile(out, broker, storage);
-  std::printf("wrote %s: seq 0, %zu subscribers, %zu clustered cells (%s)\n",
+  SaveSnapshotFile(out, broker);
+  std::printf("wrote %s: seq 0, %zu subscribers, %zu clustered cells\n",
               out.c_str(), broker.workload().num_subscribers(),
-              broker.snapshot().assignment.size(),
-              storage.disk ? "page file" : "text");
+              broker.snapshot().assignment.size());
   return 0;
 }
 
@@ -388,7 +372,6 @@ int ServeReplay(const Flags& flags) {
   const std::string snapshot_path = flags.get("snapshot", "");
   const auto snapshot_every =
       static_cast<std::uint64_t>(flags.get_int("snapshot-every", 500));
-  const StorageConfig storage = StorageConfigFromFlags(flags);
 
   // The command stream is precomputed (trace + churn policy); chaos runs
   // drive the very same schedule, so a serve-replay journal and a chaos
@@ -406,7 +389,7 @@ int ServeReplay(const Flags& flags) {
     if (!journal) Usage("cannot open --journal file " + journal_path);
     broker.set_journal(&journal);
   }
-  if (!snapshot_path.empty()) SaveSnapshotFile(snapshot_path, broker, storage);
+  if (!snapshot_path.empty()) SaveSnapshotFile(snapshot_path, broker);
 
   const std::uint64_t snapshot_base = broker.seq();
   std::size_t events_replayed = 0;
@@ -430,7 +413,7 @@ int ServeReplay(const Flags& flags) {
       // fault's provenance — survive into `recover` / `stats`.
       if (!snapshot_path.empty()) {
         try {
-          SaveSnapshotFile(snapshot_path, broker, storage);
+          SaveSnapshotFile(snapshot_path, broker);
         } catch (const std::exception& snap_err) {
           std::fprintf(stderr, "warning: degraded-exit checkpoint failed: %s\n",
                        snap_err.what());
@@ -445,10 +428,10 @@ int ServeReplay(const Flags& flags) {
       last_timestamp = rec.cmd.time_ms / 1000.0;
       if (!snapshot_path.empty() && snapshot_every > 0 &&
           (broker.seq() - snapshot_base) % snapshot_every == 0)
-        SaveSnapshotFile(snapshot_path, broker, storage);
+        SaveSnapshotFile(snapshot_path, broker);
     }
   }
-  if (!snapshot_path.empty()) SaveSnapshotFile(snapshot_path, broker, storage);
+  if (!snapshot_path.empty()) SaveSnapshotFile(snapshot_path, broker);
 
   std::printf("replayed %zu trace events over %.1f simulated seconds\n\n",
               events_replayed, last_timestamp);
@@ -589,25 +572,25 @@ int Serve(const Flags& flags) {
       }
     }
   } else {
-    std::istringstream m_is(LoadFromFile(FleetManifestPath(base)));
-    const FleetManifest manifest = ReadFleetManifest(m_is);
+    const FleetManifest manifest =
+        ReadArtifact(FleetManifestPath(base), ReadFleetManifest);
     const std::size_t nshards = manifest.shards.size();
     std::vector<BrokerSnapshot> snaps;
     snaps.reserve(nshards);
     std::vector<std::vector<JournalRecord>> shard_recs(nshards);
     for (std::size_t k = 0; k < nshards; ++k) {
-      std::istringstream s_is(LoadFromFile(FleetShardSnapshotPath(base, k)));
-      snaps.push_back(ReadBrokerSnapshot(s_is));
-      std::istringstream j_is(LoadFromFile(FleetShardJournalPath(base, k)));
-      JournalReadResult jr = ReadJournalLenient(j_is);
+      snaps.push_back(
+          ReadArtifact(FleetShardSnapshotPath(base, k), ReadBrokerSnapshot));
+      JournalReadResult jr =
+          ReadArtifact(FleetShardJournalPath(base, k), ReadJournalLenient);
       if (jr.torn_tail)
         std::fprintf(stderr, "warning: %s: dropped torn journal tail (%s)\n",
                      FleetShardJournalPath(base, k).c_str(),
                      jr.tail_error.c_str());
       shard_recs[k] = std::move(jr.journal.records);
     }
-    std::istringstream fj_is(LoadFromFile(FleetJournalPath(base)));
-    JournalReadResult fj = ReadJournalLenient(fj_is);
+    JournalReadResult fj =
+        ReadArtifact(FleetJournalPath(base), ReadJournalLenient);
     if (fj.torn_tail)
       std::fprintf(stderr, "warning: %s: dropped torn journal tail (%s)\n",
                    FleetJournalPath(base).c_str(), fj.tail_error.c_str());
@@ -940,41 +923,17 @@ std::unique_ptr<Broker> RecoverFromFlags(const Flags& flags,
   std::istringstream net_is(LoadFromFile(net_path));
   *net_out = ReadTransitStub(net_is);
 
-  const StorageConfig storage = StorageConfigFromFlags(flags);
-  BrokerSnapshot snap;
-  if (storage.disk) {
-    // The snapshot streams straight out of the page file one page per
-    // istream underflow, so recovery never materializes the artifact as a
-    // contiguous string.
-    std::size_t clipped = 0;
-    const auto warn_clipped = [&] {
-      if (clipped > 0)
-        std::fprintf(stderr,
-                     "warning: %s: clipped %zu torn pages at the file tail\n",
-                     snapshot_path.c_str(), clipped);
-    };
-    try {
-      snap = LoadSnapshotPageFile(snapshot_path, &MetricsRegistry::Default(),
-                                  &clipped);
-    } catch (const StorageError&) {
-      warn_clipped();  // a torn tail usually fails the read: say why first
-      throw;
-    }
-    warn_clipped();
-  } else {
-    std::istringstream snap_is(LoadFromFile(snapshot_path));
-    snap = ReadBrokerSnapshot(snap_is);
-  }
+  const BrokerSnapshot snap = ReadArtifact(snapshot_path, ReadBrokerSnapshot);
 
   std::vector<JournalRecord> tail;
   const std::string journal_path = flags.get("journal", "");
   if (!journal_path.empty()) {
-    std::istringstream j_is(LoadFromFile(journal_path));
     // Lenient read: a torn tail is the normal residue of a crash
     // mid-append and recovery proceeds to the last complete record.
-    // Interior damage or a sequence gap still aborts (JournalError carries
-    // the distinct code; see docs/OPERATIONS.md, "Journal damage matrix").
-    JournalReadResult jr = ReadJournalLenient(j_is);
+    // Interior damage (a record failing its CRC) or a sequence gap still
+    // aborts (the error names the code; see docs/OPERATIONS.md, "Damage
+    // matrix").
+    JournalReadResult jr = ReadArtifact(journal_path, ReadJournalLenient);
     if (jr.torn_tail)
       std::fprintf(stderr,
                    "warning: %s: dropped torn journal tail (%s); recovering "
@@ -1079,28 +1038,6 @@ int Chaos(const Flags& flags) {
     std::fputs("\n", stdout);
     std::fputs(FormatPromotionChaosReport(prep).c_str(), stdout);
     ok = ok && prep.ok();
-  }
-
-  // --storage=disk extends the run to the snapshot page files on a real
-  // filesystem: the storage drill saves the workload's seq-0 snapshot (the
-  // one `snapshot --storage=disk` writes), rotating through the storage.*
-  // fail-point sites plus physical torn tails, and requires every
-  // surviving file to read back to the same snapshot bytes
-  // (docs/STORAGE.md).
-  const StorageConfig storage = StorageConfigFromFlags(flags);
-  if (storage.disk) {
-    StorageChaosOptions sopts;
-    sopts.dir = flags.get("storage-dir", "");
-    if (sopts.dir.empty()) Usage("chaos --storage=disk requires --storage-dir");
-    sopts.cycles =
-        static_cast<std::size_t>(flags.get_int("storage-cycles", 40));
-    sopts.chaos_seed = copts.chaos_seed;
-    sopts.page_size = storage.page_size;
-    const Broker broker(wl, *model, net.graph, copts.broker);
-    const StorageChaosReport srep = RunStorageChaos(broker, sopts);
-    std::fputs("\n", stdout);
-    std::fputs(FormatStorageChaosReport(srep).c_str(), stdout);
-    ok = ok && srep.ok();
   }
   return ok ? 0 : 1;
 }
