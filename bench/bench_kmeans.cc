@@ -5,7 +5,7 @@
 // subscribers whose contiguous interest window contains it, popularity-
 // sorted exactly like Grid::top_cells and with position adjacency mapped
 // through the sort as the closure neighborhood.  Both variants resume a
-// perturbed warm assignment for a fixed pass budget, closure off and on,
+// perturbed warm assignment for a fixed number of passes, closure off and on,
 // so the measured ratio is the assignment-step speedup alone — the
 // algorithmic win, meaningful on a single core (no thread-count games).
 //
@@ -103,7 +103,7 @@ SynthInstance MakeInstance(std::size_t positions, std::size_t subs,
 
   // Warm start: the natural 1-D block partition (group = position band),
   // with 5% of the cells re-dealt to random groups — the churned state a
-  // budgeted broker refresh resumes from.
+  // warm broker refresh starts from.
   inst.warm.assign(positions, -1);
   for (std::size_t r = 0; r < positions; ++r) {
     const std::size_t p = order[r];
@@ -146,8 +146,7 @@ RunOutcome RunOnce(const SynthInstance& inst, std::size_t K,
   KMeansOptions opt;
   opt.variant = variant;
   opt.warm_start = &inst.warm;
-  opt.resumable = true;
-  opt.budget.max_passes = passes;
+  opt.max_iterations = passes;
   opt.closure = closure;
   opt.neighbors = closure ? &inst.neighbors : nullptr;
   opt.closure_oracle = oracle;

@@ -113,9 +113,6 @@ void Broker::init_obs(const BrokerOptions& options) {
   c_refresh_by_waste_ =
       r.counter(LabeledName("broker_refresh_trigger_total", "cause", "waste"),
                 "refreshes fired by the waste-ratio trigger");
-  c_refresh_by_resume_ =
-      r.counter(LabeledName("broker_refresh_trigger_total", "cause", "resume"),
-                "refreshes continuing a budget-exhausted re-clustering");
   c_replayed_ = r.counter("broker_recovery_replayed_records",
                           "journal tail records applied at recovery");
   c_flush_failures_ =
@@ -737,26 +734,16 @@ PublishOutcome Broker::apply_publish(const BrokerCommand& cmd) {
 }
 
 void Broker::maybe_refresh(PublishOutcome* outcome) {
-  RefreshTrigger trig =
+  const RefreshTrigger trig =
       policy_.trigger(mgr_->pending_churn(), mgr_->workload().num_subscribers());
-  // A budget-exhausted refresh left re-balancing moves pending; continue it
-  // on the next publish even without a policy trigger, amortizing the
-  // re-clustering across the publish stream.
-  if (trig == RefreshTrigger::kNone && mgr_->refresh_incomplete())
-    trig = RefreshTrigger::kResume;
   if (trig == RefreshTrigger::kNone) return;
-  Inc(trig == RefreshTrigger::kChurn   ? c_refresh_by_churn_
-      : trig == RefreshTrigger::kWaste ? c_refresh_by_waste_
-                                       : c_refresh_by_resume_);
+  Inc(trig == RefreshTrigger::kChurn ? c_refresh_by_churn_
+                                      : c_refresh_by_waste_);
   const GroupManager::RefreshStats rs = mgr_->refresh();
   Inc(c_refreshes_);
   if (rs.full_rebuild) Inc(c_full_rebuilds_);
   policy_.on_refresh();
-  // Checkpoints are taken only at *complete* refresh boundaries: an
-  // incomplete refresh is mid-iteration state that journal replay
-  // reconstructs deterministically, so snapshots never need to carry it
-  // (and the snapshot format stays unchanged).
-  if (!mgr_->refresh_incomplete()) capture_checkpoint();
+  capture_checkpoint();
   if (outcome != nullptr) outcome->refreshed = true;
 }
 

@@ -361,7 +361,6 @@ class Broker {
   Counter* c_journal_bytes_ = nullptr;
   Counter* c_refresh_by_churn_ = nullptr;
   Counter* c_refresh_by_waste_ = nullptr;
-  Counter* c_refresh_by_resume_ = nullptr;
   Counter* c_replayed_ = nullptr;
   Counter* c_flush_failures_ = nullptr;
   Counter* c_flush_retries_ = nullptr;

@@ -33,11 +33,8 @@ struct RefreshPolicyOptions {
 
 // Which trigger fired (for telemetry: the broker counts refreshes by
 // cause).  Churn is checked first, so a window that trips both reports
-// kChurn — the cheaper, more direct signal.  kResume is decided by the
-// broker, not this policy: when the last refresh ran out of its budget
-// (GroupManager::refresh_incomplete), the next publish continues the
-// re-balancing even though no policy trigger fired.
-enum class RefreshTrigger { kNone, kChurn, kWaste, kResume };
+// kChurn — the cheaper, more direct signal.
+enum class RefreshTrigger { kNone, kChurn, kWaste };
 
 class RefreshPolicy {
  public:

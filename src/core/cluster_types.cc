@@ -1,6 +1,5 @@
 #include "core/cluster_types.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace pubsub {
@@ -40,16 +39,6 @@ void GroupState::remove(const ClusterCell& cell) {
   prob_ -= cell.prob;
   member_mass_ -= cell.prob * static_cast<double>(bits);
   --size_;
-}
-
-void GroupState::reset() {
-  vec_.clear_all();
-  unique_.clear_all();
-  std::fill(counts_.begin(), counts_.end(), 0);
-  prob_ = 0.0;
-  size_ = 0;
-  card_ = 0;
-  member_mass_ = 0.0;
 }
 
 double GroupState::distance_to_excluding(const ClusterCell& cell,

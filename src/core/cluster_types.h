@@ -95,10 +95,6 @@ class GroupState {
 
   void add(const ClusterCell& cell);
   void remove(const ClusterCell& cell);
-  // Back to the empty state without releasing storage — the resumable
-  // k-means path rebuilds groups canonically each pass and reuses the
-  // buffers.
-  void reset();
   // Absorb another group (used by the agglomerative algorithms).
   void merge_from(const GroupState& other);
 

@@ -4,12 +4,17 @@
 #include <string>
 #include <vector>
 
+#include "core/kmeans.h"
+
 namespace pubsub {
 namespace {
 
-// MacQueen re-balancing passes per unbudgeted warm refresh (§4.2's "a
-// number of re-balancing iterations").
+// MacQueen re-balancing passes per warm refresh (§4.2's "a number of
+// re-balancing iterations").
 constexpr std::size_t kRebalancePasses = 5;
+// Fall back to cold re-clustering once this fraction of the table churned
+// since the last full build.
+constexpr double kFullRebuildFraction = 0.5;
 
 }  // namespace
 
@@ -19,7 +24,7 @@ GroupManager::GroupManager(Workload workload, const PublicationModel& pub,
   if (options_.num_groups == 0)
     throw std::invalid_argument("GroupManager: num_groups must be positive");
   init_metrics();
-  rebuild(/*warm=*/false, /*allow_budget=*/false);
+  rebuild(/*warm=*/false);
   publish_churn_gauges();
 }
 
@@ -72,9 +77,6 @@ void GroupManager::init_metrics() {
   c_kmeans_closure_fallbacks_ =
       m->counter("kmeans_closure_fallbacks_total",
                  "cell decisions that fell back to the exact group scan");
-  g_refresh_incomplete_ =
-      m->gauge("groups_refresh_incomplete",
-               "1 while the last budgeted refresh has re-balancing left");
   g_clustered_cells_ = m->gauge("groups_clustered_cells",
                                 "hyper-cells covered by the live clustering");
   g_table_size_ =
@@ -128,13 +130,12 @@ GroupManager::RefreshStats GroupManager::refresh() {
 
   const bool warm =
       static_cast<double>(churn_since_full_build_) <
-      options_.full_rebuild_fraction * static_cast<double>(workload_.num_subscribers());
+      kFullRebuildFraction * static_cast<double>(workload_.num_subscribers());
   stats.full_rebuild = !warm;
   rebuild(warm);
   if (!warm) churn_since_full_build_ = 0;
   stats.iterations = last_iterations_;
   stats.cell_visits = last_cell_visits_;
-  stats.budget_exhausted = refresh_incomplete_;
 
   Inc(warm ? c_refreshes_warm_ : c_refreshes_cold_);
   Set(g_last_churned_, static_cast<double>(stats.churned));
@@ -143,21 +144,16 @@ GroupManager::RefreshStats GroupManager::refresh() {
   return stats;
 }
 
-void GroupManager::rebuild(bool warm, bool allow_budget) {
+void GroupManager::rebuild(bool warm) {
   auto new_grid = std::make_unique<Grid>(workload_, *pub_);
   const std::vector<ClusterCell> cells = new_grid->top_cells(options_.max_cells);
 
   KMeansOptions kopt;
-  kopt.variant = options_.variant;
   kopt.closure = options_.closure;
   std::vector<std::vector<int>> neighbors;
   if (options_.closure) {
     neighbors = new_grid->cluster_neighbors(cells.size());
     kopt.neighbors = &neighbors;
-  }
-  if (allow_budget && options_.refresh_budget.limited()) {
-    kopt.budget = options_.refresh_budget;
-    kopt.resumable = true;
   }
 
   Assignment inherited;
@@ -183,21 +179,16 @@ void GroupManager::rebuild(bool warm, bool allow_budget) {
       inherited[h] = best;
     }
     kopt.warm_start = &inherited;
-    // With a refresh budget the budget governs per-call work and the pass
-    // sequence runs to its natural fixpoint across resumes; the fixed
-    // warm-pass cap applies only to legacy (unbudgeted) refreshes.
-    if (!kopt.resumable) kopt.max_iterations = kRebalancePasses;
+    kopt.max_iterations = kRebalancePasses;
   }
 
   const KMeansResult result = KMeansCluster(cells, options_.num_groups, kopt);
   last_iterations_ = result.iterations;
   last_cell_visits_ = result.cell_visits;
-  refresh_incomplete_ = result.budget_exhausted;
   Inc(c_kmeans_passes_, result.iterations);
   Inc(c_kmeans_cell_visits_, result.cell_visits);
   Inc(c_kmeans_closure_hits_, result.closure_hits);
   Inc(c_kmeans_closure_fallbacks_, result.closure_fallbacks);
-  Set(g_refresh_incomplete_, refresh_incomplete_ ? 1.0 : 0.0);
 
   grid_ = std::move(new_grid);
   assignment_ = result.assignment;

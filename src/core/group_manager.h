@@ -13,11 +13,11 @@
 //   refresh()
 //       rebuilds the grid for the churned workload and repairs the
 //       clustering: each new hyper-cell inherits the group that owned the
-//       plurality of its lattice cells, then a few MacQueen re-balancing
-//       passes run from that warm start.  If too large a fraction of the
-//       population churned since the last full build, refresh falls back
-//       to a cold re-clustering (warm starts stop paying off once the
-//       inherited structure is mostly stale).
+//       plurality of its lattice cells, then five MacQueen re-balancing
+//       passes run from that warm start.  Once half the table has churned
+//       since the last full build, refresh falls back to a cold
+//       re-clustering (warm starts stop paying off once the inherited
+//       structure is mostly stale).
 //
 // The matcher is swapped atomically at the end of refresh(); between
 // refreshes, matching uses the last clustering (new subscribers are not
@@ -38,7 +38,6 @@
 #include <memory>
 
 #include "core/grid.h"
-#include "core/kmeans.h"
 #include "core/matching.h"
 #include "obs/metrics.h"
 #include "workload/publication_model.h"
@@ -49,23 +48,11 @@ namespace pubsub {
 struct GroupManagerOptions {
   std::size_t num_groups = 100;
   std::size_t max_cells = 6000;
-  KMeansVariant variant = KMeansVariant::kMacQueen;
-  // Fall back to cold re-clustering when more than this fraction of the
-  // population churned since the last full build.
-  double full_rebuild_fraction = 0.5;
   double matcher_threshold = 0.0;
   // Closure-accelerated assignment (core/kmeans.h): candidate groups come
   // from grid adjacency instead of a full K-scan, with exact-scan
-  // fallback.
+  // fallback.  It cuts the per-refresh k-means stall at large K.
   bool closure = false;
-  // Budgeted refresh: caps the k-means work of one refresh() call and
-  // switches the iteration to resumable mode — a refresh that exhausts its
-  // budget reports refresh_incomplete(), and the next refresh resumes from
-  // the assignment left behind (warm inheritance carries it over), so
-  // re-clustering is amortized across calls.  When limited, it replaces
-  // the fixed five-pass warm cap; the budgeted pass sequence runs to the
-  // same fixpoint a single uncapped call would reach.
-  KMeansBudget refresh_budget;
   // Telemetry sink (nullable).  The manager publishes churn/refresh
   // gauges + counters here and hands the registry to every matcher it
   // builds; the broker injects its per-instance registry.
@@ -111,23 +98,11 @@ class GroupManager {
     bool full_rebuild = false;
     std::size_t iterations = 0;  // k-means passes executed
     std::size_t cell_visits = 0;
-    // The refresh budget ran out with re-balancing moves still pending;
-    // call refresh() again to continue from the current assignment.
-    bool budget_exhausted = false;
   };
   RefreshStats refresh();
 
-  // True when the last refresh stopped on its budget before convergence
-  // (see GroupManagerOptions::refresh_budget).  The matcher is live and
-  // correct either way — the assignment is a feasible K-partition after
-  // every pass; this only signals that re-balancing has more to do.
-  bool refresh_incomplete() const { return refresh_incomplete_; }
-
  private:
-  // `allow_budget` is false only for the constructor's initial build: a
-  // fresh manager has nothing to resume, and the broker's construction-time
-  // checkpoint must sit at a complete-refresh boundary.
-  void rebuild(bool warm, bool allow_budget = true);
+  void rebuild(bool warm);
   void make_matcher(std::size_t num_cells);
   void init_metrics();
   void publish_churn_gauges();
@@ -142,7 +117,6 @@ class GroupManager {
   std::size_t churn_since_full_build_ = 0;
   std::size_t last_iterations_ = 0;
   std::size_t last_cell_visits_ = 0;
-  bool refresh_incomplete_ = false;
 
   // Telemetry (nullable; see obs/metrics.h).
   Counter* c_refreshes_warm_ = nullptr;
@@ -151,7 +125,6 @@ class GroupManager {
   Counter* c_kmeans_cell_visits_ = nullptr;
   Counter* c_kmeans_closure_hits_ = nullptr;
   Counter* c_kmeans_closure_fallbacks_ = nullptr;
-  Gauge* g_refresh_incomplete_ = nullptr;
   Gauge* g_pending_churn_ = nullptr;
   Gauge* g_churn_since_full_ = nullptr;
   Gauge* g_last_churned_ = nullptr;

@@ -16,6 +16,9 @@ namespace {
 // spill depends only on the candidate count).
 constexpr std::size_t kMaxCandidates = 32;
 constexpr std::size_t kClosureOverflow = kMaxCandidates + 1;
+// The first min(kClosureSeedGroups, K) groups are in every cell's closure
+// — the global fallback that lets a cell escape a bad neighborhood.
+constexpr std::size_t kClosureSeedGroups = 4;
 
 // Index of the group with minimum expected waste to `cell`.
 std::size_t ClosestGroup(const std::vector<GroupState>& groups,
@@ -97,18 +100,6 @@ std::size_t ClosestInClosure(const std::vector<GroupState>& groups,
   return static_cast<std::size_t>(best);
 }
 
-// Rebuilds every group from the assignment in cell-index order — the
-// canonical state the resumable path re-derives at each pass boundary so a
-// pass is a pure function of the assignment (floating-point accumulation
-// order included), no matter how many calls the passes were split across.
-void RebuildGroups(const std::vector<ClusterCell>& cells,
-                   const Assignment& assignment,
-                   std::vector<GroupState>& groups) {
-  for (GroupState& g : groups) g.reset();
-  for (std::size_t i = 0; i < cells.size(); ++i)
-    groups[static_cast<std::size_t>(assignment[i])].add(cells[i]);
-}
-
 }  // namespace
 
 KMeansResult KMeansCluster(const std::vector<ClusterCell>& cells, std::size_t K,
@@ -121,7 +112,7 @@ KMeansResult KMeansCluster(const std::vector<ClusterCell>& cells, std::size_t K,
   const bool closure = options.closure && options.neighbors != nullptr;
   if (closure && options.neighbors->size() != cells.size())
     throw std::invalid_argument("KMeansCluster: neighbors size mismatch");
-  const std::size_t seed_groups = std::min(options.closure_seed_groups, K);
+  const std::size_t seed_groups = std::min(kClosureSeedGroups, K);
 
   KMeansResult result;
   result.assignment.assign(cells.size(), -1);
@@ -217,29 +208,17 @@ KMeansResult KMeansCluster(const std::vector<ClusterCell>& cells, std::size_t K,
   // Steps 1–2 — re-assignment passes.
   //
   // Batch (Forgy) passes can oscillate: several cells may simultaneously
-  // move toward the same stale snapshot vector and overshoot.  In the
-  // legacy (non-resumable) mode we track the total expected waste after
-  // every pass, remember the best assignment seen, and stop once a window
-  // of passes brings no improvement.  Resumable mode skips all of that:
-  // the last-pass state is the contract (the caller resumes from it), and
-  // the per-pass canonical rebuild replaces the incremental group
-  // evolution so budget splits are invisible.
-  double best_waste = std::numeric_limits<double>::infinity();
-  Assignment best_assignment;
-  if (!options.resumable) {
-    best_waste = TotalExpectedWaste(cells, result.assignment, static_cast<int>(K));
-    best_assignment = result.assignment;
-  }
+  // move toward the same stale snapshot vector and overshoot.  So we track
+  // the total expected waste after every pass, remember the best
+  // assignment seen, and stop once a window of passes brings no
+  // improvement.
+  double best_waste =
+      TotalExpectedWaste(cells, result.assignment, static_cast<int>(K));
+  Assignment best_assignment = result.assignment;
   std::size_t stale_passes = 0;
   constexpr std::size_t kPatience = 3;
 
-  std::size_t pass_cap = options.max_iterations;
-  if (options.budget.max_passes != 0)
-    pass_cap = std::min(pass_cap, options.budget.max_passes);
-
-  bool capped_out = false;
-  for (std::size_t iter = 0; iter < pass_cap; ++iter) {
-    if (options.resumable) RebuildGroups(cells, result.assignment, groups);
+  for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
     ++result.iterations;
     bool moved = false;
 
@@ -414,31 +393,18 @@ KMeansResult KMeansCluster(const std::vector<ClusterCell>& cells, std::size_t K,
       break;
     }
 
-    if (!options.resumable) {
-      const double waste = TotalExpectedWaste(cells, result.assignment, static_cast<int>(K));
-      if (waste < best_waste) {
-        best_waste = waste;
-        best_assignment = result.assignment;
-        stale_passes = 0;
-      } else if (++stale_passes >= kPatience) {
-        break;  // oscillating without improvement
-      }
-    }
-    if (options.budget.max_cell_visits != 0 &&
-        result.cell_visits >= options.budget.max_cell_visits) {
-      capped_out = true;
-      break;
+    const double waste = TotalExpectedWaste(cells, result.assignment, static_cast<int>(K));
+    if (waste < best_waste) {
+      best_waste = waste;
+      best_assignment = result.assignment;
+      stale_passes = 0;
+    } else if (++stale_passes >= kPatience) {
+      break;  // oscillating without improvement
     }
   }
 
-  if (!options.resumable) {
-    if (TotalExpectedWaste(cells, result.assignment, static_cast<int>(K)) > best_waste)
-      result.assignment = std::move(best_assignment);
-  }
-  result.budget_exhausted =
-      !result.converged && (options.resumable || capped_out ||
-                            (options.budget.max_passes != 0 &&
-                             result.iterations >= options.budget.max_passes));
+  if (TotalExpectedWaste(cells, result.assignment, static_cast<int>(K)) > best_waste)
+    result.assignment = std::move(best_assignment);
   return result;
 }
 

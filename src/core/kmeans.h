@@ -11,29 +11,21 @@
 // applies all moves at the end of the pass.  A cell never leaves a group it
 // is the last member of, so exactly K non-empty groups are maintained.
 //
-// Two orthogonal accelerations sit on top of the base iteration:
-//
 // *Cluster closures* (after "Fast Approximate K-Means via Cluster
 // Closures", arXiv 1312.3061): instead of scanning all K groups per cell,
 // each cell is evaluated only against its candidate closure — the groups
 // of its grid-adjacent cells (Grid::cluster_neighbors), its own current
-// group, and a few global seed groups.  The exact scan remains as a
+// group, and the first four groups as global seeds.  The exact scan remains as a
 // fallback: it runs whenever the closure is empty, overflows the candidate
 // buffer, or (MacQueen) the closure's best move fails the incremental
 // waste-improvement check.  With `closure_oracle` the exact scan runs on
 // every decision and its verdict is used, so the result is bit-identical
 // to the exact path while mismatches are counted.
 //
-// *Budgeted, resumable iteration*: the paper highlights that the iteration
-// can be stopped after any pass (still a feasible K-partition) and resumed
-// later (§6 item 5).  `KMeansBudget` caps the passes / cell visits of one
-// call; with `resumable = true` the group states are rebuilt canonically
-// from the assignment at each pass boundary, making every pass a pure
-// function of the assignment — so a sequence of budgeted calls (each
-// warm-started from the previous result) lands on bit-identically the same
-// fixpoint as one unbudgeted call, at any thread count.  Resumable mode
-// returns the last pass's state verbatim (no best-of rollback): the caller
-// will resume from it.
+// The iteration is stop-anytime (§6 item 5): every pass leaves a feasible
+// K-partition, so `max_iterations` caps the work of one call, and a warm
+// start resumes from a prior assignment — the broker's churn refresh runs
+// five MacQueen passes that way (core/group_manager).
 #pragma once
 
 #include <cstddef>
@@ -44,17 +36,6 @@
 namespace pubsub {
 
 enum class KMeansVariant { kMacQueen, kForgy };
-
-// Per-call work cap for budgeted re-clustering.  0 means unlimited.  A
-// pass is the atomic unit: `max_passes` bounds passes directly, and
-// `max_cell_visits` is a soft cap checked at pass boundaries (at least one
-// pass always runs, so a sequence of budgeted calls makes progress).
-struct KMeansBudget {
-  std::size_t max_passes = 0;
-  std::size_t max_cell_visits = 0;
-
-  bool limited() const { return max_passes != 0 || max_cell_visits != 0; }
-};
 
 struct KMeansOptions {
   KMeansVariant variant = KMeansVariant::kMacQueen;
@@ -72,28 +53,16 @@ struct KMeansOptions {
   // `closure` is set.
   bool closure = false;
   const std::vector<std::vector<int>>* neighbors = nullptr;
-  // The first min(closure_seed_groups, K) groups are always candidates —
-  // the global fallback that lets a cell escape a bad neighborhood.
-  std::size_t closure_seed_groups = 4;
   // Run the exact scan alongside every closure decision, count
   // disagreements (KMeansResult::oracle_mismatches) and use the exact
   // verdict — output becomes bit-identical to the closure-off path.
   bool closure_oracle = false;
-
-  // Budgeted/resumable iteration (see file comment).  `resumable` also
-  // disables the best-of-pass rollback so the returned assignment is the
-  // literal last-pass state.
-  KMeansBudget budget;
-  bool resumable = false;
 };
 
 struct KMeansResult {
   Assignment assignment;
   std::size_t iterations = 0;  // full re-assignment passes executed
   bool converged = false;
-  // True when the call stopped on the budget (or iteration cap) with moves
-  // still pending; resume by passing `assignment` back as warm_start.
-  bool budget_exhausted = false;
 
   // Work and closure accounting for this call.
   std::size_t cell_visits = 0;        // per-cell nearest-group evaluations

@@ -1,6 +1,5 @@
 #include "util/bitvector.h"
 
-#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <stdexcept>
@@ -13,10 +12,6 @@ BitVector::BitVector(std::size_t nbits, std::span<const std::uint64_t> words)
     throw std::invalid_argument("BitVector: word count does not match size");
   if (nbits % kWordBits != 0 && (words_.back() >> (nbits % kWordBits)) != 0)
     throw std::invalid_argument("BitVector: bit set beyond size");
-}
-
-void BitVector::clear_all() {
-  std::fill(words_.begin(), words_.end(), 0);
 }
 
 std::size_t BitVector::count() const {

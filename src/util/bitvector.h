@@ -36,8 +36,6 @@ class BitVector {
   void reset(std::size_t i) { words_[i / kWordBits] &= ~Mask(i); }
   void assign(std::size_t i, bool v) { v ? set(i) : reset(i); }
 
-  void clear_all();
-
   // Number of set bits.
   std::size_t count() const;
   bool any() const;

@@ -33,10 +33,6 @@ std::vector<CliFlag> BrokerFlags() {
       {"refresh-waste", "R", "re-cluster above this window waste ratio (0.5)"},
       {"refresh-min-messages", "M",
        "minimum window messages before the waste trigger (200)"},
-      {"refresh-passes", "N",
-       "k-means pass budget per refresh; 0 = unlimited (resumable when set)"},
-      {"refresh-visits", "N",
-       "cell-visit budget per refresh, checked at pass ends (0 = unlimited)"},
       {"closure", "", "closure-accelerated assignment (grid-neighbor candidates)"},
       {"metrics-out", "PATH", "write a Prometheus text metrics dump"},
       {"metrics-json", "PATH", "write a JSON metrics dump"},

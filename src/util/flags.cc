@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <stdexcept>
 
 namespace pubsub {
 
@@ -37,9 +36,18 @@ std::int64_t Flags::get_int(const std::string& key, std::int64_t def) const {
     if (pos != it->second.size()) throw std::invalid_argument("trailing junk");
     return v;
   } catch (const std::exception&) {
-    throw std::invalid_argument("Flags: bad integer for --" + key + ": '" +
-                                it->second + "'");
+    throw FlagError("Flags: bad integer for --" + key + ": '" +
+                    it->second + "'");
   }
+}
+
+std::size_t Flags::get_count(const std::string& key, std::size_t def) const {
+  if (!has(key)) return def;
+  const std::int64_t v = get_int(key, 0);
+  if (v < 0)
+    throw FlagError("Flags: negative count for --" + key + ": '" +
+                    values_.at(key) + "'");
+  return static_cast<std::size_t>(v);
 }
 
 double Flags::get_double(const std::string& key, double def) const {
@@ -51,8 +59,8 @@ double Flags::get_double(const std::string& key, double def) const {
     if (pos != it->second.size()) throw std::invalid_argument("trailing junk");
     return v;
   } catch (const std::exception&) {
-    throw std::invalid_argument("Flags: bad number for --" + key + ": '" +
-                                it->second + "'");
+    throw FlagError("Flags: bad number for --" + key + ": '" +
+                    it->second + "'");
   }
 }
 
@@ -62,7 +70,7 @@ bool Flags::get_bool(const std::string& key, bool def) const {
   const std::string& v = it->second;
   if (v == "true" || v == "1" || v == "yes") return true;
   if (v == "false" || v == "0" || v == "no") return false;
-  throw std::invalid_argument("Flags: bad boolean for --" + key + ": " + v);
+  throw FlagError("Flags: bad boolean for --" + key + ": " + v);
 }
 
 std::vector<std::string> Flags::unknown_flags(
@@ -81,7 +89,7 @@ void Flags::require_known(const std::vector<std::string>& known) const {
   std::string msg = "Flags: unknown flag";
   if (unknown.size() > 1) msg += 's';
   for (const auto& key : unknown) msg += " --" + key;
-  throw std::invalid_argument(msg);
+  throw FlagError(msg);
 }
 
 }  // namespace pubsub

@@ -41,14 +41,6 @@ TEST(BitVector, SetResetTest) {
   EXPECT_FALSE(v.test(63));
 }
 
-TEST(BitVector, ClearAll) {
-  BitVector v(70);
-  v.set(5);
-  v.set(69);
-  v.clear_all();
-  EXPECT_TRUE(v.none());
-}
-
 TEST(BitVector, LogicalOps) {
   BitVector a(200), b(200);
   a.set(3);

@@ -233,128 +233,6 @@ TEST(Broker, WasteTriggersRefresh) {
   EXPECT_EQ(broker.stats().refreshes, 1u);
 }
 
-// Budgeted refresh (ISSUE 10): with a 1-pass refresh budget, the churn
-// trigger starts a refresh that exhausts its budget mid-iteration; the
-// following publishes resume it (trigger cause "resume") with no further
-// churn, and the checkpoint is captured only at the complete boundary.
-TEST(Broker, BudgetedRefreshResumesAcrossPublishes) {
-  BrokerFixture f;
-  BrokerOptions opts = f.SmallOptions();
-  opts.group.refresh_budget.max_passes = 1;
-  ManualClock clock;
-  Broker broker = f.MakeBroker(opts, &clock);
-
-  // Drastic churn (domain-wide interests) so the warm re-balancing surely
-  // needs more than the single budgeted pass.
-  const Rect wide = broker.workload().space.domain_rect();
-  for (SubscriberId id = 0; id < 8; ++id) {
-    clock.advance(1.0);
-    broker.update(id, wide);
-  }
-  ASSERT_EQ(broker.stats().refreshes, 1u);  // churn trigger fired
-  ASSERT_TRUE(broker.groups().refresh_incomplete());
-  // Incomplete refresh boundaries never checkpoint: the construction-time
-  // checkpoint (seq 0) is still the latest.
-  EXPECT_EQ(broker.snapshot().seq, 0u);
-
-  std::size_t resumes = 0;
-  while (broker.groups().refresh_incomplete()) {
-    ASSERT_LT(resumes, f.events.size()) << "refresh never completed";
-    clock.advance(1.0);
-    const PublishOutcome out =
-        broker.publish(f.events[resumes].pub.origin, f.events[resumes].pub.point);
-    EXPECT_TRUE(out.refreshed);  // the publish carried a resume slice
-    ++resumes;
-  }
-  EXPECT_GE(resumes, 1u);
-  // The completing refresh captured the checkpoint at its own seq.
-  EXPECT_EQ(broker.snapshot().seq, broker.seq());
-  EXPECT_EQ(
-      broker.metrics()
-          .counter(LabeledName("broker_refresh_trigger_total", "cause", "resume"),
-                   "")
-          ->value(),
-      resumes);
-
-  // Quiesced: the next publish triggers nothing.
-  clock.advance(1.0);
-  const PublishOutcome idle =
-      broker.publish(f.events[0].pub.origin, f.events[0].pub.point);
-  EXPECT_FALSE(idle.refreshed);
-}
-
-// Kill a budgeted broker *mid-incomplete-refresh* and recover from the
-// (older, complete-boundary) checkpoint plus the journal tail: replay
-// re-executes the budgeted refresh slices deterministically, so the
-// recovered state is bit-identical even though the snapshot knows nothing
-// about the in-flight iteration.
-TEST(Broker, BudgetedRefreshKillAndRecoverBitIdentical) {
-  BrokerFixture f;
-  BrokerOptions opts = f.SmallOptions();
-  opts.group.refresh_budget.max_passes = 1;
-  ManualClock clock;
-  Broker live = f.MakeBroker(opts, &clock);
-  std::ostringstream journal_text;
-  live.set_journal(&journal_text);
-
-  struct Cut {
-    std::uint64_t seq = 0;
-    std::uint64_t digest = 0;
-    BrokerSnapshot snap;
-    std::string journal;
-  };
-  std::vector<Cut> cuts;
-
-  const Rect wide = live.workload().space.domain_rect();
-  for (std::size_t i = 0; i < f.events.size(); ++i) {
-    clock.advance(7.0);
-    if ((i + 1) % 4 == 0) {
-      const auto id = static_cast<SubscriberId>((i * 13) % 250);
-      live.update(id, (i % 8 == 3) ? wide
-                                   : f.scenario.workload
-                                         .subscribers[(i * 29 + 1) % 250]
-                                         .interest);
-      // First cut: the earliest point where a refresh is parked incomplete
-      // (checkpoint strictly older than the live clustering state).  Taken
-      // right after the churn command, before any publish gets a chance to
-      // resume-and-complete the iteration.
-      if (cuts.empty() && live.groups().refresh_incomplete())
-        cuts.push_back({live.seq(), live.state_digest(), live.snapshot(),
-                        journal_text.str()});
-    }
-    live.publish(f.events[i].pub.origin, f.events[i].pub.point);
-  }
-  cuts.push_back(
-      {live.seq(), live.state_digest(), live.snapshot(), journal_text.str()});
-  ASSERT_EQ(cuts.size(), 2u) << "no incomplete-refresh window was observed";
-  ASSERT_LT(cuts[0].snap.seq, cuts[0].seq);
-
-  ManualClock recovered_clock;
-  for (const Cut& cut : cuts) {
-    std::ostringstream snap_text;
-    WriteBrokerSnapshot(snap_text, cut.snap);
-    std::istringstream snap_in(snap_text.str());
-    const BrokerSnapshot snap = ReadBrokerSnapshot(snap_in);
-
-    std::istringstream journal_in(cut.journal);
-    const JournalFile jf = ReadJournal(journal_in);
-    auto recovered =
-        Broker::Recover(snap, jf.records, *f.scenario.pub, f.scenario.net.graph,
-                        opts, &recovered_clock);
-    EXPECT_EQ(recovered->seq(), cut.seq);
-    EXPECT_EQ(recovered->state_digest(), cut.digest) << "cut at " << cut.seq;
-    if (&cut == &cuts[0]) {
-      // Replay reconstructed the parked mid-iteration state itself, not
-      // just the checkpointed one.
-      EXPECT_TRUE(recovered->groups().refresh_incomplete());
-    } else {
-      EXPECT_EQ(recovered->groups().refresh_incomplete(),
-                live.groups().refresh_incomplete());
-      EXPECT_EQ(recovered->groups().assignment(), live.groups().assignment());
-    }
-  }
-}
-
 TEST(Broker, IdenticalCommandStreamsProduceIdenticalState) {
   BrokerFixture f;
   ManualClock c1, c2;
@@ -371,9 +249,10 @@ TEST(Broker, IdenticalCommandStreamsProduceIdenticalState) {
 // from its latest snapshot plus the journal tail (both round-tripped
 // through their text formats), and require bit-identical state — digests,
 // counters, and the outcome of a probe publish.
-TEST(Broker, KillAndRecoverIsBitIdentical) {
+void ExpectKillAndRecoverBitIdentical(bool closure) {
   BrokerFixture f;
-  const BrokerOptions opts = f.SmallOptions();
+  BrokerOptions opts = f.SmallOptions();
+  opts.group.closure = closure;
   ManualClock clock;
   Broker live = f.MakeBroker(opts, &clock);
   std::ostringstream journal_text;
@@ -483,6 +362,13 @@ TEST(Broker, KillAndRecoverIsBitIdentical) {
   EXPECT_EQ(a.timing.service_ms, b.timing.service_ms);
   EXPECT_EQ(ToVec(a.timing.latencies_ms), ToVec(b.timing.latencies_ms));
   EXPECT_EQ(live.state_digest(), last_recovered->state_digest());
+}
+
+TEST(Broker, KillAndRecoverIsBitIdentical) {
+  for (const bool closure : {false, true}) {
+    SCOPED_TRACE(closure ? "closure on" : "closure off");
+    ExpectKillAndRecoverBitIdentical(closure);
+  }
 }
 
 TEST(Broker, WarmStandbyPromotionIsBitIdentical) {

@@ -173,22 +173,6 @@ TEST(GroupState, IncrementalStateTracksOracleUnderChurn) {
   }
 }
 
-TEST(GroupState, ResetClearsWithoutReleasingSize) {
-  const BitVector a = Bits(70, {0, 64, 69});
-  GroupState g(70);
-  g.add(ClusterCell{&a, 0.4});
-  g.reset();
-  EXPECT_TRUE(g.empty());
-  EXPECT_TRUE(g.vec().none());
-  EXPECT_TRUE(g.unique().none());
-  EXPECT_EQ(g.cardinality(), 0u);
-  EXPECT_EQ(g.waste(), 0.0);
-  // Still usable after reset.
-  g.add(ClusterCell{&a, 0.4});
-  EXPECT_EQ(g.vec(), a);
-  EXPECT_EQ(g.cardinality(), 3u);
-}
-
 // distance_to_excluding must be bit-identical to the mutate/measure/restore
 // dance it replaces, and report the union bits the member uniquely holds.
 TEST(GroupState, DistanceToExcludingMatchesRemoveAddDance) {

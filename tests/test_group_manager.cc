@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <iterator>
 #include <vector>
 
+#include "core/kmeans.h"
 #include "sim/experiment.h"
 #include "sim/scenario.h"
 
@@ -96,13 +98,11 @@ TEST(GroupManager, AddedSubscriberJoinsAGroupAfterRefresh) {
 
 TEST(GroupManager, MassChurnTriggersFullRebuild) {
   Fixture f;
-  GroupManagerOptions opt = f.SmallOptions();
-  opt.full_rebuild_fraction = 0.2;
-  GroupManager mgr(f.scenario.workload, *f.scenario.pub, opt);
+  GroupManager mgr(f.scenario.workload, *f.scenario.pub, f.SmallOptions());
   const Rect wide = mgr.workload().space.domain_rect();
-  for (SubscriberId id = 0; id < 100; ++id) mgr.update_subscriber(id, wide);
+  for (SubscriberId id = 0; id < 160; ++id) mgr.update_subscriber(id, wide);
   const GroupManager::RefreshStats stats = mgr.refresh();
-  EXPECT_TRUE(stats.full_rebuild);  // 100/300 > 0.2
+  EXPECT_TRUE(stats.full_rebuild);  // 160/300 >= 0.5
   // The full-build counter resets: small follow-up churn is warm again.
   mgr.update_subscriber(0, wide);
   EXPECT_FALSE(mgr.refresh().full_rebuild);
@@ -189,51 +189,65 @@ TEST(GroupManager, BetweenRefreshWindowNeedsCallerUnicast) {
   EXPECT_EQ(mgr.pending_churn(), 0u);
 }
 
-// Budgeted refresh (ISSUE 10): a sequence of 1-pass refreshes must land on
-// bit-identically the same assignment as a single refresh with a budget
-// large enough to finish — the resumable k-means underneath makes where
-// the budget cuts invisible.  Checked with and without the closure
-// acceleration.
-TEST(GroupManager, BudgetedRefreshSequenceMatchesOneBigBudgetRefresh) {
+// refresh() against a reference built here from scratch: a fresh Grid of
+// the churned table, each hyper-cell labelled with the plurality group of
+// its lattice cells under the previous grid, then KMeansCluster for five
+// passes from those labels — or from scratch once at least half the table
+// has churned since the last full build.  Rounds of 40 updates take the
+// manager through warm, warm, warm, cold and warm again, with closure off
+// and on.
+TEST(GroupManager, RefreshMatchesFromScratchReference) {
   Fixture f;
+  const auto& subs = f.scenario.workload.subscribers;
   for (const bool closure : {false, true}) {
-    GroupManagerOptions budgeted = f.SmallOptions();
-    budgeted.closure = closure;
-    budgeted.refresh_budget.max_passes = 1;
-    GroupManagerOptions big = budgeted;
-    big.refresh_budget.max_passes = 100;
+    GroupManagerOptions opt = f.SmallOptions();
+    opt.closure = closure;
+    GroupManager mgr(f.scenario.workload, *f.scenario.pub, opt);
+    std::size_t churn_since_full = 0;
+    for (SubscriberId first = 0; first < 200; first += 40) {
+      for (SubscriberId id = first; id < first + 40; ++id)
+        mgr.update_subscriber(
+            id, subs[static_cast<std::size_t>((id + 17) % 300)].interest);
+      churn_since_full += 40;
+      const bool cold =
+          2 * churn_since_full >= mgr.workload().num_subscribers();
 
-    GroupManager a(f.scenario.workload, *f.scenario.pub, budgeted);
-    GroupManager b(f.scenario.workload, *f.scenario.pub, big);
-    // The construction-time build ignores the budget (nothing to resume).
-    EXPECT_FALSE(a.refresh_incomplete());
-    EXPECT_EQ(a.assignment(), b.assignment());
+      const Grid grid(mgr.workload(), *f.scenario.pub);
+      const std::vector<ClusterCell> cells = grid.top_cells(opt.max_cells);
+      const std::vector<std::vector<int>> neighbors =
+          grid.cluster_neighbors(cells.size());
+      KMeansOptions kopt;
+      kopt.closure = closure;
+      kopt.neighbors = &neighbors;
+      Assignment inherited(cells.size(), -1);
+      if (!cold) {
+        for (std::size_t h = 0; h < cells.size(); ++h) {
+          std::vector<int> votes(opt.num_groups, 0);
+          int best_votes = 0;
+          for (const std::int64_t cell : grid.hyper_cells()[h].cells) {
+            const int old_h = mgr.grid().hyper_cell_of(cell);
+            if (old_h < 0 ||
+                static_cast<std::size_t>(old_h) >= mgr.assignment().size())
+              continue;
+            const int g = mgr.assignment()[static_cast<std::size_t>(old_h)];
+            if (++votes[static_cast<std::size_t>(g)] > best_votes) {
+              best_votes = votes[static_cast<std::size_t>(g)];
+              inherited[h] = g;
+            }
+          }
+        }
+        kopt.warm_start = &inherited;
+        kopt.max_iterations = 5;
+      }
+      const Assignment want =
+          KMeansCluster(cells, opt.num_groups, kopt).assignment;
 
-    // Identical churn on both: rotate a block of interests.
-    const auto& subs = f.scenario.workload.subscribers;
-    for (SubscriberId id = 0; id < 60; ++id) {
-      const Rect& next = subs[static_cast<std::size_t>((id + 17) % 300)].interest;
-      a.update_subscriber(id, next);
-      b.update_subscriber(id, next);
+      const GroupManager::RefreshStats stats = mgr.refresh();
+      ASSERT_EQ(stats.full_rebuild, cold) << "closure=" << closure;
+      ASSERT_EQ(mgr.assignment(), want)
+          << "closure=" << closure << " after " << first + 40 << " updates";
+      if (cold) churn_since_full = 0;
     }
-
-    const GroupManager::RefreshStats sb = b.refresh();
-    EXPECT_FALSE(sb.budget_exhausted);
-    EXPECT_FALSE(b.refresh_incomplete());
-
-    GroupManager::RefreshStats sa = a.refresh();
-    std::size_t total_passes = sa.iterations;
-    int rounds = 1;
-    while (a.refresh_incomplete()) {
-      ASSERT_TRUE(sa.budget_exhausted);
-      EXPECT_EQ(sa.iterations, 1u);  // the per-call pass budget held
-      ASSERT_LT(++rounds, 100) << "budgeted refreshes failed to converge";
-      sa = a.refresh();  // no new churn: pure resume
-      total_passes += sa.iterations;
-    }
-    EXPECT_GT(rounds, 1) << "budget never bit; test is vacuous";
-    EXPECT_EQ(a.assignment(), b.assignment()) << "closure=" << closure;
-    EXPECT_EQ(total_passes, sb.iterations) << "closure=" << closure;
   }
 }
 

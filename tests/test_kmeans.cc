@@ -243,80 +243,6 @@ TEST_P(KMeansClosureTest, ClosureNeverWorseThanInitialPartition) {
   }
 }
 
-// A sequence of budgeted resumable calls (1 pass each, warm-started from
-// the previous result) must be bit-identical to one resumable run of the
-// same total pass count — the per-pass canonical group rebuild makes every
-// pass a pure function of the assignment, so where the budget cuts is
-// invisible.  MacQueen reaches its fixpoint and stops; resumable Forgy may
-// still be oscillating when the cap trips (patience is deliberately off in
-// resumable mode), so the pin is on pass-count-aligned state, with matching
-// convergence verdicts.
-TEST_P(KMeansClosureTest, BudgetedResumeReachesSameFixpointAsOneRun) {
-  Rng rng(25);
-  const CellSet set = RandomCells(220, 35, rng);
-  const auto neighbors = ChainNeighbors(set.cells.size());
-  for (const bool with_closure : {false, true}) {
-    KMeansOptions step = Opt();
-    step.resumable = true;
-    step.closure = with_closure;
-    step.neighbors = with_closure ? &neighbors : nullptr;
-    KMeansOptions full = step;  // same knobs, no budget
-    step.budget.max_passes = 1;
-
-    KMeansResult r = KMeansCluster(set.cells, 10, step);
-    EXPECT_EQ(r.iterations, 1u);
-    std::size_t total_passes = r.iterations;
-    std::size_t rounds = 1;
-    while (!r.converged && total_passes < 60) {
-      ASSERT_TRUE(r.budget_exhausted);
-      const Assignment warm = r.assignment;
-      step.warm_start = &warm;
-      r = KMeansCluster(set.cells, 10, step);
-      total_passes += r.iterations;
-      ++rounds;
-    }
-    EXPECT_GT(rounds, 1u) << "budget never split the run";
-    if (GetParam() == KMeansVariant::kMacQueen)
-      EXPECT_TRUE(r.converged) << "sequential passes must reach a fixpoint";
-
-    full.max_iterations = total_passes;
-    const KMeansResult one = KMeansCluster(set.cells, 10, full);
-    EXPECT_EQ(one.assignment, r.assignment) << "closure=" << with_closure;
-    EXPECT_EQ(one.iterations, total_passes) << "closure=" << with_closure;
-    EXPECT_EQ(one.converged, r.converged) << "closure=" << with_closure;
-  }
-}
-
-// Same budget-cut invisibility when the budget is expressed in cell visits
-// instead of passes (soft cap, checked at pass boundaries).
-TEST_P(KMeansClosureTest, CellVisitBudgetResumes) {
-  Rng rng(26);
-  const CellSet set = RandomCells(150, 30, rng);
-  KMeansOptions step = Opt();
-  step.resumable = true;
-  KMeansOptions full = step;
-  step.budget.max_cell_visits = set.cells.size();  // ~one pass worth
-
-  KMeansResult r = KMeansCluster(set.cells, 8, step);
-  std::size_t total_passes = r.iterations;
-  std::size_t rounds = 1;
-  while (!r.converged && total_passes < 60) {
-    ASSERT_TRUE(r.budget_exhausted);
-    const Assignment warm = r.assignment;
-    step.warm_start = &warm;
-    r = KMeansCluster(set.cells, 8, step);
-    total_passes += r.iterations;
-    ++rounds;
-  }
-  EXPECT_GT(rounds, 1u) << "budget never split the run";
-
-  full.max_iterations = total_passes;
-  const KMeansResult one = KMeansCluster(set.cells, 8, full);
-  EXPECT_EQ(one.assignment, r.assignment);
-  EXPECT_EQ(one.iterations, total_passes);
-  EXPECT_EQ(one.converged, r.converged);
-}
-
 INSTANTIATE_TEST_SUITE_P(Variants, KMeansClosureTest,
                          ::testing::Values(KMeansVariant::kMacQueen,
                                            KMeansVariant::kForgy),

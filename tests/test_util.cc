@@ -92,6 +92,28 @@ TEST(FlagsTest, MalformedNumbersFailLoudly) {
   // Trailing junk counts as malformed; a clean value still parses.
   EXPECT_THROW(f.get_double("ratio", 0.0), std::invalid_argument);
   EXPECT_EQ(f.get_int("n", 0), 12);
+
+  // A count rejects a negative value, which a cast to std::size_t would
+  // wrap to 2^64 - n, and names the flag; absent or zero it passes through.
+  const char* counts[] = {"prog", "--groups=-1", "--events=0", "--subs=abc"};
+  const Flags c(4, counts);
+  EXPECT_EQ(c.get_int("groups", 0), -1);
+  EXPECT_THROW(c.get_count("groups", 100), FlagError);
+  try {
+    c.get_count("groups", 100);
+    FAIL() << "expected FlagError";
+  } catch (const FlagError& e) {
+    EXPECT_NE(std::string(e.what()).find("--groups"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("-1"), std::string::npos);
+  }
+  EXPECT_THROW(c.get_count("subs", 1000), FlagError);
+  EXPECT_EQ(c.get_count("events", 2000), 0u);
+  EXPECT_EQ(c.get_count("cells", 6000), 6000u);
+  // Every Flags error is a FlagError, so a binary can map it to a usage
+  // error.
+  EXPECT_THROW(f.get_int("threads", 1), FlagError);
+  EXPECT_THROW(f.get_double("ratio", 0.0), FlagError);
+  EXPECT_THROW(f.require_known({"threads"}), FlagError);
 }
 
 TEST(FlagsTest, UnknownFlagDetection) {

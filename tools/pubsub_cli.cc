@@ -23,6 +23,7 @@
 #include <deque>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -114,7 +115,10 @@ int GenWorkload(const Flags& flags) {
   std::istringstream net_is(LoadFromFile(net_path));
   const TransitStubNetwork net = ReadTransitStub(net_is);
 
-  const auto subs = static_cast<int>(flags.get_int("subs", 1000));
+  const std::size_t count = flags.get_count("subs", 1000);
+  if (count > static_cast<std::size_t>(std::numeric_limits<int>::max()))
+    Usage("--subs is too large");
+  const auto subs = static_cast<int>(count);
   Rng rng(static_cast<std::uint64_t>(flags.get_int("seed", 2)));
   Workload wl;
   const std::string model = flags.get("model", "stock");
@@ -154,9 +158,9 @@ int Cluster(const Flags& flags) {
 
   const auto model = ModelFor(net, wl, flags);
   const Grid grid(wl, *model);
-  const auto cells_fed = static_cast<std::size_t>(flags.get_int("cells", 6000));
+  const auto cells_fed = flags.get_count("cells", 6000);
   const std::vector<ClusterCell> cells = grid.top_cells(cells_fed);
-  const auto K = static_cast<std::size_t>(flags.get_int("groups", 100));
+  const auto K = flags.get_count("groups", 100);
 
   Rng rng(static_cast<std::uint64_t>(flags.get_int("seed", 3)));
   const GridAlgorithm algo = GridAlgorithmByName(flags.get("algo", "forgy"));
@@ -197,8 +201,8 @@ int Evaluate(const Flags& flags) {
 
   DeliverySimulator sim(net.graph, wl);
   Rng rng(static_cast<std::uint64_t>(flags.get_int("seed", 4)));
-  const auto events = SampleEvents(
-      sim, *model, static_cast<std::size_t>(flags.get_int("events", 300)), rng);
+  const auto events =
+      SampleEvents(sim, *model, flags.get_count("events", 300), rng);
   const BaselineCosts base = EvaluateBaselines(sim, events);
 
   const GridMatcher matcher(grid, clustering.assignment, clustering.num_groups,
@@ -222,20 +226,14 @@ int Evaluate(const Flags& flags) {
 
 BrokerOptions BrokerOptionsFromFlags(const Flags& flags) {
   BrokerOptions opts;
-  opts.group.num_groups = static_cast<std::size_t>(flags.get_int("groups", 100));
-  opts.group.max_cells = static_cast<std::size_t>(flags.get_int("cells", 6000));
+  opts.group.num_groups = flags.get_count("groups", 100);
+  opts.group.max_cells = flags.get_count("cells", 6000);
   opts.group.matcher_threshold = flags.get_double("threshold", 0.0);
   opts.refresh.churn_fraction = flags.get_double("refresh-churn", 0.05);
   opts.refresh.waste_ratio = flags.get_double("refresh-waste", 0.5);
-  opts.refresh.min_messages =
-      static_cast<std::size_t>(flags.get_int("refresh-min-messages", 200));
-  opts.group.refresh_budget.max_passes =
-      static_cast<std::size_t>(flags.get_int("refresh-passes", 0));
-  opts.group.refresh_budget.max_cell_visits =
-      static_cast<std::size_t>(flags.get_int("refresh-visits", 0));
+  opts.refresh.min_messages = flags.get_count("refresh-min-messages", 200);
   opts.group.closure = flags.get_bool("closure", false);
-  opts.obs.trace_sample =
-      static_cast<std::uint64_t>(flags.get_int("trace-sample", 0));
+  opts.obs.trace_sample = flags.get_count("trace-sample", 0);
   return opts;
 }
 
@@ -364,14 +362,12 @@ int ServeReplay(const Flags& flags) {
 
   const auto model = ModelFor(net, wl, flags);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
-  const auto num_events =
-      static_cast<std::size_t>(flags.get_int("events", 2000));
-  const auto churn_every =
-      static_cast<std::size_t>(flags.get_int("churn-every", 0));
+  const auto num_events = flags.get_count("events", 2000);
+  const auto churn_every = flags.get_count("churn-every", 0);
   const std::string journal_path = flags.get("journal", "");
   const std::string snapshot_path = flags.get("snapshot", "");
   const auto snapshot_every =
-      static_cast<std::uint64_t>(flags.get_int("snapshot-every", 500));
+      static_cast<std::uint64_t>(flags.get_count("snapshot-every", 500));
 
   // The command stream is precomputed (trace + churn policy); chaos runs
   // drive the very same schedule, so a serve-replay journal and a chaos
@@ -520,22 +516,20 @@ int Serve(const Flags& flags) {
 
   const auto model = ModelFor(net, wl, flags);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
-  const auto num_events =
-      static_cast<std::size_t>(flags.get_int("events", 2000));
-  const auto churn_every =
-      static_cast<std::size_t>(flags.get_int("churn-every", 0));
+  const auto num_events = flags.get_count("events", 2000);
+  const auto churn_every = flags.get_count("churn-every", 0);
   const std::string base = flags.get("base", "");
   const auto snapshot_every =
-      static_cast<std::uint64_t>(flags.get_int("snapshot-every", 500));
+      static_cast<std::uint64_t>(flags.get_count("snapshot-every", 500));
   const double heal_every = flags.get_double("heal-every-ms", 1000.0);
   const bool resume = flags.get_bool("resume", false);
   const bool oracle_check = flags.get_bool("oracle-check", false);
   const double watch_every = flags.get_double("watch-every-ms", 500.0);
   const auto audit_every =
-      static_cast<std::uint64_t>(flags.get_int("audit-every", 64));
+      static_cast<std::uint64_t>(flags.get_count("audit-every", 64));
   WatchdogOptions wopts;
   wopts.skew_ratio = flags.get_double("slo-skew", 4.0);
-  wopts.max_backlog = static_cast<std::size_t>(flags.get_int("slo-backlog", 64));
+  wopts.max_backlog = flags.get_count("slo-backlog", 64);
   wopts.audit_every = audit_every;
   if (resume && base.empty()) Usage("--resume requires --base");
   if (heal_every <= 0.0) Usage("--heal-every-ms must be positive");
@@ -546,7 +540,7 @@ int Serve(const Flags& flags) {
   const std::size_t dims = wl.space.dims();
 
   FleetOptions fopts;
-  fopts.num_shards = static_cast<std::size_t>(flags.get_int("shards", 2));
+  fopts.num_shards = flags.get_count("shards", 2);
   if (fopts.num_shards == 0) Usage("--shards must be >= 1");
   fopts.broker = BrokerOptionsFromFlags(flags);
 
@@ -806,15 +800,13 @@ int Top(const Flags& flags) {
 
   const auto model = ModelFor(net, wl, flags);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
-  const auto num_events =
-      static_cast<std::size_t>(flags.get_int("events", 2000));
-  const auto churn_every =
-      static_cast<std::size_t>(flags.get_int("churn-every", 0));
+  const auto num_events = flags.get_count("events", 2000);
+  const auto churn_every = flags.get_count("churn-every", 0);
   const double interval = flags.get_double("interval-ms", 0.0);
   if (interval < 0.0) Usage("--interval-ms must be >= 0");
 
   FleetOptions fopts;
-  fopts.num_shards = static_cast<std::size_t>(flags.get_int("shards", 2));
+  fopts.num_shards = flags.get_count("shards", 2);
   if (fopts.num_shards == 0) Usage("--shards must be >= 1");
   fopts.broker = BrokerOptionsFromFlags(flags);
 
@@ -825,7 +817,7 @@ int Top(const Flags& flags) {
   BrokerFleet fleet(wl, *model, net.graph, fopts, &clock);
   WatchdogOptions wopts;
   wopts.skew_ratio = flags.get_double("slo-skew", 4.0);
-  wopts.max_backlog = static_cast<std::size_t>(flags.get_int("slo-backlog", 64));
+  wopts.max_backlog = flags.get_count("slo-backlog", 64);
   FleetWatchdog watchdog(wopts, &fleet.metrics());
   std::size_t alerts_total = 0;
   const auto report_alerts = [&](const std::vector<WatchdogAlert>& alerts) {
@@ -1003,14 +995,13 @@ int Chaos(const Flags& flags) {
 
   const auto model = ModelFor(net, wl, flags);
   ChaosOptions copts;
-  copts.num_events = static_cast<std::size_t>(flags.get_int("events", 400));
-  copts.churn_every =
-      static_cast<std::size_t>(flags.get_int("churn-every", 5));
+  copts.num_events = flags.get_count("events", 400);
+  copts.churn_every = flags.get_count("churn-every", 5);
   copts.seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
   copts.chaos_seed = static_cast<std::uint64_t>(flags.get_int("chaos-seed", 1));
-  copts.cycles = static_cast<std::size_t>(flags.get_int("cycles", 200));
+  copts.cycles = flags.get_count("cycles", 200);
   copts.snapshot_every =
-      static_cast<std::uint64_t>(flags.get_int("snapshot-every", 50));
+      static_cast<std::uint64_t>(flags.get_count("snapshot-every", 50));
   copts.broker = BrokerOptionsFromFlags(flags);
 
   const ChaosReport report = RunChaos(net, wl, *model, copts);
@@ -1022,11 +1013,10 @@ int Chaos(const Flags& flags) {
   // kill/promote cycles with the promote.journal_handoff fail point armed
   // on some of them, falling back to cold shard recovery when the standby
   // crashes mid-handoff.
-  const auto promotions =
-      static_cast<std::size_t>(flags.get_int("promotions", 0));
+  const auto promotions = flags.get_count("promotions", 0);
   if (promotions > 0) {
     PromotionChaosOptions popts;
-    popts.num_shards = static_cast<std::size_t>(flags.get_int("shards", 3));
+    popts.num_shards = flags.get_count("shards", 3);
     popts.num_events = copts.num_events;
     popts.churn_every = copts.churn_every;
     popts.seed = copts.seed;
@@ -1052,8 +1042,8 @@ int Run(int argc, char** argv) {
     return 0;
   }
   const Flags flags(argc - 1, argv + 1);
-  ConfigureThreadsFromFlags(flags);
   try {
+    ConfigureThreadsFromFlags(flags);
     FailPoints::Instance().configure_from_env();
     if (flags.has("failpoints-seed"))
       FailPoints::Instance().set_seed(
@@ -1071,6 +1061,8 @@ int Run(int argc, char** argv) {
     if (cmd == "recover") return Recover(flags);
     if (cmd == "stats") return Stats(flags);
     if (cmd == "chaos") return Chaos(flags);
+  } catch (const FlagError& e) {
+    Usage(e.what());  // a malformed, negative or unknown flag
   } catch (const std::exception& e) {
     // Covers InjectedCrash too: an armed --failpoints crash behaves like
     // the process death it simulates (exit 1, journal left as-is).
