@@ -369,11 +369,6 @@ void Broker::set_journal_sink(FileSink* sink, bool write_header) {
   }
 }
 
-void Broker::set_record_listener(
-    std::function<void(const JournalRecord&)> listener) {
-  listener_ = std::move(listener);
-}
-
 JournalRecord Broker::make_record(BrokerCommand cmd) {
   JournalRecord rec;
   rec.seq = seq_ + 1;
@@ -488,7 +483,6 @@ PublishOutcome Broker::finish_apply(const JournalRecord& rec) {
   Inc(c_commands_);
   maybe_refresh(&out);
   update_derived_gauges();
-  if (listener_) listener_(rec);
   // The fleet context covers exactly one record (clear_degraded's late
   // success lands here too, so a stalled-then-healed publish still traces).
   trace_ctx_armed_ = false;
@@ -608,7 +602,7 @@ void Broker::validate_churn(const BrokerCommand& cmd) const {
   // reaches the sink, but it cannot know the subscriber table — an
   // unknown-id unsubscribe/update must be caught here, pre-journal, or the
   // record lands in the journal (and consumes a seq) while the mutation
-  // throws, desyncing every replica and crashing recovery replay.
+  // throws, crashing recovery replay.
   if (cmd.type != BrokerCommandType::kUnsubscribe &&
       cmd.type != BrokerCommandType::kUpdate)
     return;

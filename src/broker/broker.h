@@ -31,7 +31,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <span>
@@ -156,9 +155,6 @@ class Broker {
   // As set_journal, but with an injectable sink (must outlive the broker;
   // nullptr detaches).
   void set_journal_sink(FileSink* sink, bool write_header = true);
-  // Live update stream (primary → warm standby): invoked after each
-  // locally submitted command is applied.
-  void set_record_listener(std::function<void(const JournalRecord&)> listener);
 
   // --- command API ------------------------------------------------------
   SubscriberId subscribe(NodeId node, const Rect& interest);
@@ -166,9 +162,9 @@ class Broker {
   void update(SubscriberId id, const Rect& interest);
   PublishOutcome publish(NodeId origin, const Point& event);
 
-  // Apply an already-sequenced record (replication / replay): must carry
+  // Apply an already-sequenced record (fleet fan-out / replay): must carry
   // seq() + 1 and is applied with its recorded timestamp.  Journals to the
-  // sink and notifies the listener like a local command.
+  // sink like a local command.
   void apply(const JournalRecord& rec);
   // As apply(), but returns the publish outcome (default-constructed for
   // churn records).  The fleet fan-out path needs the per-shard interested
@@ -263,8 +259,8 @@ class Broker {
   // Reject invalid churn commands BEFORE the write-ahead append: a command
   // that would fail mid-apply must fail identically on live submit, apply()
   // and journal replay, without consuming a sequence number or reaching
-  // the journal/replica (an unknown-id unsubscribe that got journaled
-  // would desync the replica digest and crash recovery).
+  // the journal (an unknown-id unsubscribe that got journaled would crash
+  // recovery replay).
   void validate_churn(const BrokerCommand& cmd) const;
   void apply_churn(const BrokerCommand& cmd);
   PublishOutcome apply_publish(const BrokerCommand& cmd);
@@ -319,7 +315,6 @@ class Broker {
   std::size_t pending_offset_ = 0;
   bool pending_is_record_ = false;
   JournalRecord pending_rec_;
-  std::function<void(const JournalRecord&)> listener_;
   std::uint64_t seq_ = 0;
   double last_time_ms_ = 0.0;
   BrokerSnapshot checkpoint_;

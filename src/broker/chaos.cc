@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "broker/replica.h"
 #include "io/serialize.h"
 #include "util/failpoint.h"
 #include "util/rng.h"
@@ -105,7 +104,6 @@ constexpr KillSite kKillSites[] = {
     {"broker.publish.post_journal", "crash"},
     {"snapshot.write", "crash"},
     {"snapshot.flush", "crash"},
-    {"replica.apply", "crash"},
 };
 
 }  // namespace
@@ -143,7 +141,6 @@ ChaosReport RunChaos(const TransitStubNetwork& net, const Workload& base,
 
   std::unique_ptr<Broker> broker;
   std::unique_ptr<std::ostringstream> sink;
-  std::unique_ptr<BrokerReplica> replica;
 
   const auto persist_journal = [&] {
     if (sink != nullptr) disk_journal = sink->str();
@@ -156,33 +153,6 @@ ChaosReport RunChaos(const TransitStubNetwork& net, const Workload& base,
   const auto record_kill = [&](const std::string& site) {
     ++report.cycles;
     ++report.kills_by_site[site];
-  };
-
-  // Re-bootstrap the warm standby from the disk and catch it up from the
-  // journal (records at or below its seq are ignored by the replica).
-  const auto rebuild_replica = [&] {
-    persist_journal();
-    std::istringstream sin(disk_snapshot);
-    const BrokerSnapshot snap = ReadBrokerSnapshot(sin);
-    auto rep =
-        std::make_unique<BrokerReplica>(snap, pub, net.graph, opts.broker);
-    std::istringstream jin(disk_journal);
-    const JournalReadResult jr = ReadJournalLenient(jin);
-    for (const JournalRecord& rec : jr.journal.records) rep->apply(rec);
-    return rep;
-  };
-
-  // Stream one applied record to the replica; an injected replication
-  // crash kills only the replica, which a later clean phase rebuilds.
-  const auto replica_feed = [&](const JournalRecord& rec) {
-    if (replica == nullptr) return;
-    try {
-      replica->apply(rec);
-    } catch (const InjectedCrash& e) {
-      record_kill(e.site());
-      ++report.replica_rebuilds;
-      replica.reset();
-    }
   };
 
   // Kill/recover: parse the disk (dropping a torn tail and truncating the
@@ -218,9 +188,6 @@ ChaosReport RunChaos(const TransitStubNetwork& net, const Workload& base,
     if (broker->state_digest() !=
         ref_digest[static_cast<std::size_t>(broker->seq())])
       ++report.digest_mismatches;
-    // Records that became durable but were never streamed (e.g. a crash
-    // between the WAL append and the listener) reach the replica here.
-    for (const JournalRecord& rec : jr.journal.records) replica_feed(rec);
     return true;
   };
 
@@ -235,7 +202,6 @@ ChaosReport RunChaos(const TransitStubNetwork& net, const Workload& base,
           schedule[static_cast<std::size_t>(broker->seq())];
       try {
         broker->apply(rec);
-        replica_feed(rec);
         if (opts.snapshot_every > 0 &&
             broker->seq() % opts.snapshot_every == 0)
           snapshot_now();
@@ -251,7 +217,6 @@ ChaosReport RunChaos(const TransitStubNetwork& net, const Workload& base,
         if (!broker->clear_degraded())
           throw std::logic_error(
               "chaos: clear_degraded failed with fail points disarmed");
-        replica_feed(rec);  // the pending command took effect on clearing
         ++report.digest_checks;
         if (broker->state_digest() !=
             ref_digest[static_cast<std::size_t>(broker->seq())])
@@ -272,12 +237,11 @@ ChaosReport RunChaos(const TransitStubNetwork& net, const Workload& base,
   sink = std::make_unique<std::ostringstream>(disk_journal, std::ios::ate);
   broker->set_journal(sink.get(), /*write_header=*/false);
   snapshot_now();
-  replica = rebuild_replica();
 
   Rng chaos_rng(opts.chaos_seed);
   while (true) {
-    // Clean phase: nothing armed while we recover, rebuild and make the
-    // guaranteed one-command forward progress of this round.
+    // Clean phase: nothing armed while we recover and make the guaranteed
+    // one-command forward progress of this round.
     fp.clear();
     if (broker == nullptr) {
       if (report.cycles < opts.cycles && chaos_rng.uniform_int(0, 3) == 0)
@@ -287,12 +251,8 @@ ChaosReport RunChaos(const TransitStubNetwork& net, const Workload& base,
       fp.clear();
       if (!ok) continue;
     }
-    if (replica == nullptr) replica = rebuild_replica();
     if (broker->seq() < last_seq) {
-      const JournalRecord& rec =
-          schedule[static_cast<std::size_t>(broker->seq())];
-      broker->apply(rec);
-      replica_feed(rec);
+      broker->apply(schedule[static_cast<std::size_t>(broker->seq())]);
       if (opts.snapshot_every > 0 && broker->seq() % opts.snapshot_every == 0)
         snapshot_now();
     }
@@ -300,10 +260,7 @@ ChaosReport RunChaos(const TransitStubNetwork& net, const Workload& base,
     if (report.cycles >= opts.cycles) {
       // Fault budget spent: run the rest of the schedule clean.
       while (broker->seq() < last_seq) {
-        const JournalRecord& rec =
-            schedule[static_cast<std::size_t>(broker->seq())];
-        broker->apply(rec);
-        replica_feed(rec);
+        broker->apply(schedule[static_cast<std::size_t>(broker->seq())]);
         if (opts.snapshot_every > 0 && broker->seq() % opts.snapshot_every == 0)
           snapshot_now();
       }
@@ -375,10 +332,6 @@ ChaosReport RunChaos(const TransitStubNetwork& net, const Workload& base,
   report.digests_match = report.final_seq == last_seq &&
                          report.final_digest == report.reference_digest &&
                          report.digest_mismatches == 0;
-  if (replica == nullptr) replica = rebuild_replica();
-  report.replica_digest = replica->broker().state_digest();
-  report.replica_matches = replica->seq() == last_seq &&
-                           report.replica_digest == report.reference_digest;
   return report;
 }
 
@@ -389,7 +342,6 @@ std::string FormatChaosReport(const ChaosReport& r) {
      << "kill/recover      " << r.cycles << " kills, " << r.recoveries
      << " recoveries, " << r.torn_tails << " torn tails dropped\n"
      << "degraded rounds   " << r.degraded_entries << "\n"
-     << "replica rebuilds  " << r.replica_rebuilds << "\n"
      << "digest checks     " << r.digest_checks << " ("
      << r.digest_mismatches << " mismatches)\n";
   os << "kills by site\n";
@@ -397,13 +349,11 @@ std::string FormatChaosReport(const ChaosReport& r) {
     os << "  " << site << "  " << n << "\n";
   os << std::hex;
   os << "final digest      " << r.final_digest << "\n"
-     << "reference digest  " << r.reference_digest << "\n"
-     << "replica digest    " << r.replica_digest << "\n";
+     << "reference digest  " << r.reference_digest << "\n";
   os << std::dec;
   os << "verdict           "
-     << (r.digests_match && r.replica_matches && r.digest_mismatches == 0
-             ? "bit-identical"
-             : "MISMATCH")
+     << (r.digests_match && r.digest_mismatches == 0 ? "bit-identical"
+                                                     : "MISMATCH")
      << "\n";
   return os.str();
 }

@@ -6,10 +6,10 @@
 // broker through the same command stream `pubsub_cli serve-replay` would
 // produce, repeatedly kills it at the named fail-point sites of
 // util/failpoint.h (crashes before/after the WAL append, torn journal
-// tails, fsync failures that force degraded mode, crashes mid-recovery and
-// mid-replication), recovers from the surviving in-memory "disk", and
-// after every cycle compares the FNV-1a state digest against an un-faulted
-// reference run at the same sequence number.
+// tails, fsync failures that force degraded mode, crashes mid-recovery),
+// recovers from the surviving in-memory "disk", and after every cycle
+// compares the FNV-1a state digest against an un-faulted reference run at
+// the same sequence number.
 //
 // The harness owns the process-global FailPoints registry for its run:
 // callers must not have fail points armed concurrently.
@@ -54,7 +54,6 @@ struct ChaosReport {
   std::size_t recoveries = 0;     // completed Broker::Recover calls
   std::size_t torn_tails = 0;     // recoveries that dropped a torn tail
   std::size_t degraded_entries = 0;  // degraded-mode rounds driven
-  std::size_t replica_rebuilds = 0;  // replica re-bootstraps after a kill
   std::size_t digest_checks = 0;     // post-recovery digest comparisons
   std::size_t digest_mismatches = 0; // any non-zero value is a found bug
   std::map<std::string, std::uint64_t> kills_by_site;
@@ -62,8 +61,6 @@ struct ChaosReport {
   std::uint64_t final_digest = 0;
   std::uint64_t reference_digest = 0;
   bool digests_match = false;  // final state bit-identical to the reference
-  std::uint64_t replica_digest = 0;
-  bool replica_matches = false;  // warm standby also bit-identical
 };
 
 // Run the full chaos schedule.  `base` must be a stock workload (the trace

@@ -6,7 +6,7 @@
 // *snapshot* + *sequenced update stream*.  Every state-mutating operation
 // is a BrokerCommand; the broker stamps it with a monotone sequence number
 // and a broker-clock timestamp, making a JournalRecord — the unit of the
-// write-ahead journal and of primary→standby replication.  Replaying a
+// write-ahead journal and of the fleet's per-shard fan-out.  Replaying a
 // record applies the *recorded* time, not the live clock, so queueing
 // state (and hence every timing statistic) reconstructs exactly.
 //

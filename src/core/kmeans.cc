@@ -122,7 +122,7 @@ KMeansResult KMeansCluster(const std::vector<ClusterCell>& cells, std::size_t K,
   // when enabled (candidates = seeds + groups of already-placed neighbors).
   const auto place = [&](std::size_t i) {
     ++result.cell_visits;
-    std::size_t g;
+    std::size_t g = 0;
     bool used_closure = false;
     if (closure) {
       int cand[kMaxCandidates];

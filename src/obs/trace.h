@@ -31,6 +31,7 @@ enum class PublishStage : std::uint8_t {
   kFleetFanOut = 4,
   kFleetMerge = 5,
   kFleetDeliver = 6,
+  // Nothing records this stage; servebench/traced_run.cc switches over it.
   kReplicaApply = 7,
 };
 

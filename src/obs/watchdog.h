@@ -85,7 +85,7 @@ class FleetWatchdog {
                          MetricsRegistry* metrics = nullptr);
 
   // Latency-skew + backlog detector.  `shard_publish[k]` is shard k's
-  // publish-latency histogram (null entries — dead shards — are skipped).
+  // publish-latency histogram (null entries are skipped).
   // Returns the alerts newly raised by this check.
   std::vector<WatchdogAlert> check(
       double now_ms, const std::vector<const Histogram*>& shard_publish,

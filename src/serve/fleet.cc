@@ -5,7 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "serve/catchup.h"
 #include "util/failpoint.h"
 #include "util/thread_pool.h"
 
@@ -75,9 +74,8 @@ BrokerFleet::BrokerFleet(Workload initial, const PublicationModel& pub,
     live_count_ += alive_[g];
   }
   for (std::size_t k = 0; k < n; ++k)
-    install_shard(k, std::make_unique<Broker>(std::move(parts[k]), *pub_,
-                                              *network_, shard_options(),
-                                              clock_));
+    shards_[k] = std::make_unique<Broker>(std::move(parts[k]), *pub_,
+                                          *network_, shard_options(), clock_);
   update_gauges();
 }
 
@@ -96,9 +94,6 @@ BrokerFleet::BrokerFleet(RestoreTag, const PublicationModel& pub,
   const std::size_t n = options_.num_shards;
   shards_.resize(n);
   shard_seq_.assign(n, 0);
-  shard_journal_os_.assign(n, nullptr);
-  replicas_.assign(n, nullptr);
-  update_buffer_.resize(n);
   local_to_global_.resize(n);
   init_obs(n);
 }
@@ -142,14 +137,6 @@ void BrokerFleet::init_obs(std::size_t num_shards) {
                         "records left pending on a degraded shard");
   c_heals_ = m.counter("fleet_heals_total",
                        "stalled records completed through heal()");
-  c_kills_ = m.counter("fleet_shard_kills_total", "shard brokers discarded");
-  c_promotions_ = m.counter("fleet_promotions_total",
-                            "standbys promoted into live shards");
-  c_recoveries_ = m.counter("fleet_shard_recoveries_total",
-                            "shards rebuilt from snapshot + journal");
-  c_replica_drops_ = m.counter(
-      "fleet_replica_drops_total",
-      "attached replicas dropped after crashing on a streamed record");
   g_shards_ = m.gauge("fleet_shards", "configured shard count");
   g_seq_ = m.gauge("fleet_seq", "last fleet sequence number applied");
   g_live_ = m.gauge("fleet_live_subscribers",
@@ -170,7 +157,6 @@ void BrokerFleet::init_obs(std::size_t num_shards) {
   trace_sample_ = options_.broker.obs.trace_sample;
   g_shard_seq_.resize(num_shards);
   g_shard_subs_.resize(num_shards);
-  g_shard_up_.resize(num_shards);
   g_shard_degraded_.resize(num_shards);
   h_shard_publish_.resize(num_shards);
   for (std::size_t k = 0; k < num_shards; ++k) {
@@ -180,8 +166,6 @@ void BrokerFleet::init_obs(std::size_t num_shards) {
     g_shard_subs_[k] =
         m.gauge(LabeledName("fleet_shard_subscribers", "shard", shard),
                 "subscriber slots owned by the shard (tombstones included)");
-    g_shard_up_[k] = m.gauge(LabeledName("fleet_shard_up", "shard", shard),
-                             "1 while the shard broker is alive");
     g_shard_degraded_[k] =
         m.gauge(LabeledName("fleet_shard_degraded", "shard", shard),
                 "1 while the shard broker is in degraded read-only mode");
@@ -192,28 +176,6 @@ void BrokerFleet::init_obs(std::size_t num_shards) {
                     ExponentialBuckets(0.001, 4.0, 12),
                     MetricStability::kRuntime);
   }
-}
-
-void BrokerFleet::install_shard(std::size_t k, std::unique_ptr<Broker> broker) {
-  // Every record the shard finishes — live fan-out, a heal's late apply —
-  // lands in the state-reply buffer and streams to the attached standby.
-  // A standby that crashes applying a record died; the shard did not, so
-  // the crash is contained to a detach.
-  broker->set_record_listener([this, k](const JournalRecord& rec) {
-    update_buffer_[k].push_back(rec);
-    ShardReplica* standby = replicas_[k];
-    if (standby == nullptr) return;
-    // Traced records propagate their id into the standby's replica_apply
-    // span, so catch-up shows up in the same causal tree as the publish.
-    if (cur_trace_id_ != 0) standby->set_trace_context(cur_trace_id_);
-    try {
-      standby->apply(rec);
-    } catch (const InjectedCrash&) {
-      replicas_[k] = nullptr;
-      Inc(c_replica_drops_);
-    }
-  });
-  shards_[k] = std::move(broker);
 }
 
 // ------------------------------------------------------------ command API
@@ -297,13 +259,9 @@ FleetPublishOutcome BrokerFleet::apply_sequenced(const JournalRecord& rec) {
     throw FleetDegradedError(
         "fleet is stalled: a record is pending on a degraded shard; heal() "
         "must complete it before new mutations");
-  for (std::size_t k = 0; k < shards_.size(); ++k)
-    if (shards_[k] == nullptr)
-      throw std::logic_error("BrokerFleet: shard " + std::to_string(k) +
-                             " is down (promote or recover it first)");
   validate(rec);
-  // The fleet seq is the trace id: every span this record produces — here,
-  // in the shard lanes, in the replicas — links back to it.
+  // The fleet seq is the trace id: every span this record produces — here
+  // and in the shard lanes — links back to it.
   cur_trace_id_ =
       trace_sample_ > 0 && rec.seq % trace_sample_ == 0 ? rec.seq : 0;
   // Write-ahead at the fleet level: the global record is on the routing
@@ -391,7 +349,6 @@ void BrokerFleet::finish_churn(const JournalRecord& rec) {
   seq_ = rec.seq;
   Inc(c_commands_);
   Inc(c_churn_);
-  prune_buffers();
   update_gauges();
 }
 
@@ -424,7 +381,7 @@ FleetPublishOutcome BrokerFleet::fan_out_publish(const JournalRecord& rec) {
   }
 
   // Fan out to every shard.  Each lane touches only shard-disjoint state
-  // (the shard broker, its journal, its replica, its buffer slot), and the
+  // (the shard broker, its journal, its outcome and error slots), and the
   // merge below walks shards in index order — so the fleet's durable state
   // is bit-identical at any --threads.  Bodies must not throw: exceptions
   // are captured per shard and re-raised in shard order after the join.
@@ -526,7 +483,6 @@ FleetPublishOutcome BrokerFleet::finish_publish(const JournalRecord& rec) {
   Inc(c_commands_);
   Inc(c_publishes_);
   Observe(h_interested_, static_cast<double>(merged_.size()));
-  prune_buffers();
   update_gauges();
   FleetPublishOutcome out;
   out.seq = seq_;
@@ -543,14 +499,9 @@ FleetPublishOutcome BrokerFleet::finish_publish(const JournalRecord& rec) {
 bool BrokerFleet::heal() {
   bool all_ok = true;
   for (std::size_t k = 0; k < shards_.size(); ++k) {
-    if (shards_[k] == nullptr) {
-      all_ok = false;  // a dead shard needs promote/recover, not a probe
-      continue;
-    }
     if (pending_active_ && pending_applied_[k] == 0) {
       // The probe re-runs the interrupted append; success means the shard
-      // finished the pending record (its listener already fed the buffer
-      // and the standby) and its seq advanced.
+      // finished the pending record and its seq advanced.
       if (!shards_[k]->heal_probe()) {
         all_ok = false;
         continue;
@@ -593,24 +544,14 @@ bool BrokerFleet::heal() {
 
 // ------------------------------------------------------------------ state
 
-const Broker& BrokerFleet::shard(std::size_t k) const {
-  if (shards_[k] == nullptr)
-    throw std::logic_error("BrokerFleet: shard " + std::to_string(k) +
-                           " is down");
-  return *shards_[k];
-}
-
 std::uint64_t BrokerFleet::state_digest() const {
   return FleetStateDigest(seq_, logical_, match_chain_);
 }
 
 std::vector<SubscriberId> BrokerFleet::interested(const Point& event) const {
-  // Cold read path, shard by shard.  Down shards are skipped: during a
-  // failover window the merged read is best-effort, like any other read
-  // against a partially available fleet.
+  // Cold read path, shard by shard.
   std::vector<SubscriberId> out;
   for (std::size_t k = 0; k < shards_.size(); ++k) {
-    if (shards_[k] == nullptr) continue;
     for (const SubscriberId lid : shards_[k]->interested(event))
       out.push_back(local_to_global_[k][lid]);
   }
@@ -628,8 +569,7 @@ void BrokerFleet::set_fleet_journal(std::ostream* sink, bool write_header) {
 
 void BrokerFleet::set_shard_journal(std::size_t k, std::ostream* sink,
                                     bool write_header) {
-  shard_journal_os_[k] = sink;  // remembered for the promotion handoff
-  if (shards_[k] != nullptr) shards_[k]->set_journal(sink, write_header);
+  shards_[k]->set_journal(sink, write_header);
 }
 
 FleetCheckpoint BrokerFleet::checkpoint() const {
@@ -645,9 +585,6 @@ FleetCheckpoint BrokerFleet::checkpoint() const {
   cp.manifest.shards.resize(shards_.size());
   cp.shard_snapshots.resize(shards_.size());
   for (std::size_t k = 0; k < shards_.size(); ++k) {
-    if (shards_[k] == nullptr)
-      throw std::logic_error(
-          "BrokerFleet::checkpoint: shard " + std::to_string(k) + " is down");
     cp.manifest.shards[k].seq = shard_seq_[k];
     cp.manifest.shards[k].global_ids = local_to_global_[k];
     cp.shard_snapshots[k] = shards_[k]->snapshot();
@@ -700,11 +637,7 @@ std::unique_ptr<BrokerFleet> BrokerFleet::Recover(
           std::to_string(manifest.shards[k].global_ids.size()));
     fleet->shard_seq_[k] = b->seq();
     fleet->local_to_global_[k] = manifest.shards[k].global_ids;
-    // Re-seed the state-reply buffer with the post-snapshot records so a
-    // standby can bootstrap immediately after recovery.
-    for (const JournalRecord& rec : recs)
-      if (rec.seq > b->snapshot().seq) fleet->update_buffer_[k].push_back(rec);
-    fleet->install_shard(k, std::move(b));
+    fleet->shards_[k] = std::move(b);
     total += manifest.shards[k].global_ids.size();
   }
 
@@ -738,130 +671,7 @@ std::unique_ptr<BrokerFleet> BrokerFleet::Recover(
   return fleet;
 }
 
-// -------------------------------------------- clone pattern and failover
-
-FleetStateReply BrokerFleet::state_reply(std::size_t k) const {
-  if (shards_[k] == nullptr)
-    throw std::logic_error("BrokerFleet::state_reply: shard " +
-                           std::to_string(k) + " is down");
-  FleetStateReply reply;
-  reply.shard = static_cast<int>(k);
-  reply.snapshot = shards_[k]->snapshot();
-  for (const JournalRecord& rec : update_buffer_[k])
-    if (rec.seq > reply.snapshot.seq) reply.updates.push_back(rec);
-  return reply;
-}
-
-void BrokerFleet::attach_replica(std::size_t k, ShardReplica* replica) {
-  if (replica == nullptr) {
-    replicas_[k] = nullptr;
-    return;
-  }
-  if (replica->shard() != static_cast<int>(k))
-    throw std::invalid_argument(
-        "BrokerFleet::attach_replica: replica follows shard " +
-        std::to_string(replica->shard()) + ", not " + std::to_string(k));
-  // A standby behind the shard would see a sequence gap on the next fed
-  // record; state_reply() bootstraps to exactly the current seq.
-  if (replica->seq() != shard_seq_[k])
-    throw std::invalid_argument(
-        "BrokerFleet::attach_replica: standby at seq " +
-        std::to_string(replica->seq()) + ", shard at " +
-        std::to_string(shard_seq_[k]));
-  replicas_[k] = replica;
-}
-
-void BrokerFleet::detach_replica(std::size_t k) { replicas_[k] = nullptr; }
-
-void BrokerFleet::kill_shard(std::size_t k) {
-  if (shards_[k] == nullptr)
-    throw std::logic_error("BrokerFleet::kill_shard: shard " +
-                           std::to_string(k) + " is already down");
-  shards_[k].reset();
-  Inc(c_kills_);
-  update_gauges();
-}
-
-void BrokerFleet::promote(std::size_t k, ShardReplica&& standby,
-                          std::span<const JournalRecord> journal_tail) {
-  if (shards_[k] != nullptr)
-    throw std::logic_error("BrokerFleet::promote: shard " + std::to_string(k) +
-                           " is still alive");
-  if (standby.shard() != static_cast<int>(k))
-    throw std::invalid_argument(
-        "BrokerFleet::promote: standby follows shard " +
-        std::to_string(standby.shard()) + ", not " + std::to_string(k));
-  // The standby is consumed from here on — even a crash mid-handoff leaves
-  // it partially advanced, so it must not stay attached as a follower.
-  replicas_[k] = nullptr;
-  FailPoints& fp = FailPoints::Instance();
-  const auto handoff_gate = [&fp] {
-    if (fp.active() &&
-        fp.eval("promote.journal_handoff").action != FailAction::kOff)
-      throw InjectedCrash("promote.journal_handoff");
-  };
-  // The handoff window: replay the durable journal tail into the standby.
-  // The gate sits before each step so a chaos schedule can kill the
-  // promotion at any record boundary (^SKIP picks the boundary).
-  handoff_gate();
-  for (const JournalRecord& rec : journal_tail) {
-    handoff_gate();
-    standby.apply(rec);  // records at or below the standby's seq are no-ops
-  }
-  std::unique_ptr<Broker> broker = std::move(standby).take();
-  if (broker->seq() != shard_seq_[k])
-    throw std::runtime_error(
-        "BrokerFleet::promote: standby reached seq " +
-        std::to_string(broker->seq()) + " but shard " + std::to_string(k) +
-        " requires " + std::to_string(shard_seq_[k]) +
-        " (promotion would desync the fleet)");
-  // Journal handoff: the promoted broker appends to the shard's existing
-  // journal stream, headerless, exactly where the dead primary stopped.
-  if (shard_journal_os_[k] != nullptr)
-    broker->set_journal(shard_journal_os_[k], /*write_header=*/false);
-  install_shard(k, std::move(broker));
-  Inc(c_promotions_);
-  update_gauges();
-}
-
-void BrokerFleet::recover_shard(std::size_t k, const BrokerSnapshot& snapshot,
-                                std::span<const JournalRecord> journal) {
-  if (shards_[k] != nullptr)
-    throw std::logic_error("BrokerFleet::recover_shard: shard " +
-                           std::to_string(k) + " is still alive");
-  std::vector<JournalRecord> recs;
-  for (const JournalRecord& rec : journal)
-    if (rec.seq <= shard_seq_[k]) recs.push_back(rec);
-  std::unique_ptr<Broker> broker = Broker::Recover(
-      snapshot, recs, *pub_, *network_, shard_options(), clock_);
-  if (broker->seq() != shard_seq_[k])
-    throw std::runtime_error(
-        "BrokerFleet::recover_shard: shard " + std::to_string(k) +
-        " recovered to seq " + std::to_string(broker->seq()) +
-        ", fleet requires " + std::to_string(shard_seq_[k]));
-  if (shard_journal_os_[k] != nullptr)
-    broker->set_journal(shard_journal_os_[k], /*write_header=*/false);
-  update_buffer_[k].clear();
-  for (const JournalRecord& rec : recs)
-    if (rec.seq > broker->snapshot().seq) update_buffer_[k].push_back(rec);
-  install_shard(k, std::move(broker));
-  Inc(c_recoveries_);
-  update_gauges();
-}
-
 // -------------------------------------------------------------- plumbing
-
-void BrokerFleet::prune_buffers() {
-  for (std::size_t k = 0; k < shards_.size(); ++k) {
-    if (shards_[k] == nullptr) continue;
-    const std::uint64_t floor = shards_[k]->snapshot().seq;
-    std::vector<JournalRecord>& buf = update_buffer_[k];
-    if (buf.empty() || buf.front().seq > floor) continue;
-    auto it = buf.begin();
-    while (it != buf.end() && it->seq <= floor) ++it;
-    buf.erase(buf.begin(), it);
-  }
-}
 
 void BrokerFleet::update_gauges() {
   Set(g_shards_, static_cast<double>(shards_.size()));
@@ -871,9 +681,7 @@ void BrokerFleet::update_gauges() {
   for (std::size_t k = 0; k < shards_.size(); ++k) {
     Set(g_shard_seq_[k], static_cast<double>(shard_seq_[k]));
     Set(g_shard_subs_[k], static_cast<double>(local_to_global_[k].size()));
-    Set(g_shard_up_[k], shards_[k] != nullptr ? 1.0 : 0.0);
-    Set(g_shard_degraded_[k],
-        shards_[k] != nullptr && shards_[k]->degraded() ? 1.0 : 0.0);
+    Set(g_shard_degraded_[k], shards_[k]->degraded() ? 1.0 : 0.0);
   }
 }
 
@@ -881,15 +689,9 @@ void BrokerFleet::update_gauges() {
 
 std::vector<TraceSpan> BrokerFleet::collect_spans() const {
   std::vector<TraceSpan> out = trace_.spans();
-  for (std::size_t k = 0; k < shards_.size(); ++k) {
-    if (shards_[k] != nullptr) {
-      const std::vector<TraceSpan> s = shards_[k]->trace().spans();
-      out.insert(out.end(), s.begin(), s.end());
-    }
-    if (replicas_[k] != nullptr) {
-      const std::vector<TraceSpan> s = replicas_[k]->trace().spans();
-      out.insert(out.end(), s.begin(), s.end());
-    }
+  for (const std::unique_ptr<Broker>& shard : shards_) {
+    const std::vector<TraceSpan> s = shard->trace().spans();
+    out.insert(out.end(), s.begin(), s.end());
   }
   // Group each causal tree contiguously; stable so per-ring recording
   // order breaks the remaining ties.
@@ -905,43 +707,31 @@ std::vector<TraceSpan> BrokerFleet::collect_spans() const {
 
 std::uint64_t BrokerFleet::trace_recorded() const {
   std::uint64_t total = trace_.recorded();
-  for (std::size_t k = 0; k < shards_.size(); ++k) {
-    if (shards_[k] != nullptr) total += shards_[k]->trace().recorded();
-    if (replicas_[k] != nullptr) total += replicas_[k]->trace().recorded();
-  }
+  for (const std::unique_ptr<Broker>& shard : shards_)
+    total += shard->trace().recorded();
   return total;
 }
 
 std::uint64_t BrokerFleet::trace_dropped() const {
   std::uint64_t total = trace_.dropped();
-  for (std::size_t k = 0; k < shards_.size(); ++k) {
-    if (shards_[k] != nullptr) total += shards_[k]->trace().dropped();
-    if (replicas_[k] != nullptr) total += replicas_[k]->trace().dropped();
-  }
+  for (const std::unique_ptr<Broker>& shard : shards_)
+    total += shard->trace().dropped();
   return total;
 }
 
 std::vector<const Histogram*> BrokerFleet::shard_publish_histograms() const {
-  std::vector<const Histogram*> out(shards_.size(), nullptr);
-  for (std::size_t k = 0; k < shards_.size(); ++k)
-    if (shards_[k] != nullptr) out[k] = h_shard_publish_[k];
-  return out;
+  return {h_shard_publish_.begin(), h_shard_publish_.end()};
 }
 
 Broker& BrokerFleet::shard_for_fault_injection(std::size_t k) {
-  if (shards_[k] == nullptr)
-    throw std::logic_error("BrokerFleet: shard " + std::to_string(k) +
-                           " is down");
   return *shards_[k];
 }
 
 MetricsSnapshot FleetScrape(const BrokerFleet& fleet, bool include_runtime) {
   MetricsSnapshot snap = fleet.metrics().scrape(include_runtime);
-  for (std::size_t k = 0; k < fleet.num_shards(); ++k) {
-    if (!fleet.shard_alive(k)) continue;
+  for (std::size_t k = 0; k < fleet.num_shards(); ++k)
     snap.merge_labeled(fleet.shard(k).metrics().scrape(include_runtime),
                        "shard", std::to_string(k));
-  }
   return snap;
 }
 
@@ -949,7 +739,6 @@ std::vector<ShardAuditSample> CollectShardAudit(const BrokerFleet& fleet) {
   std::vector<ShardAuditSample> out;
   out.reserve(fleet.num_shards());
   for (std::size_t k = 0; k < fleet.num_shards(); ++k) {
-    if (!fleet.shard_alive(k)) continue;
     const Broker& b = fleet.shard(k);
     out.push_back({static_cast<std::int32_t>(k), b.seq(), fleet.shard_seq(k),
                    b.state_digest()});

@@ -30,10 +30,7 @@
 //     a FleetManifest (fleet seq, match chain, per-shard seq and
 //     local→global maps); manifest + shard snapshots + shard journals
 //     rebuild the fleet, and the fleet journal tail replays forward.
-// A late joiner bootstraps from state_reply() — the shard's snapshot plus
-// the records buffered since it — and is promoted into a live shard on
-// failure (serve/catchup.h; the promote.journal_handoff fail point covers
-// a standby crash mid-promotion).
+// That is the only way a fleet or a shard is rebuilt (Recover below).
 //
 // Degraded mode composes: when a shard's journal loses durability
 // mid-record, the fleet *stalls* — the record is pending, no sequence
@@ -58,8 +55,6 @@
 #include "workload/types.h"
 
 namespace pubsub {
-
-class ShardReplica;  // serve/catchup.h
 
 // A mutation arrived while the fleet is stalled on a degraded shard, or a
 // shard entered degraded mode mid-record.  The pending record completes
@@ -88,15 +83,6 @@ struct FleetPublishOutcome {
   std::uint64_t seq = 0;
   std::span<const SubscriberId> interested;  // merged global ids, ascending
   std::size_t shards_matched = 0;  // shards contributing >= 1 subscriber
-};
-
-// Clone-pattern state transfer for one shard: the shard's refresh-boundary
-// snapshot plus every shard-local record applied since it.  A ShardReplica
-// built from this is at the shard's exact current seq.
-struct FleetStateReply {
-  int shard = -1;
-  BrokerSnapshot snapshot;
-  std::vector<JournalRecord> updates;  // shard-seq records > snapshot.seq
 };
 
 // Durable fleet checkpoint: the manifest plus one refresh-boundary
@@ -156,7 +142,7 @@ class BrokerFleet {
   // must carry seq() + 1.  Write-ahead to the fleet journal, then routed /
   // fanned out to the shards as re-stamped local records.  Throws
   // FleetDegradedError when a shard degrades mid-record (the record is
-  // then pending; call heal()), std::logic_error while a shard is down.
+  // then pending; call heal()).
   FleetPublishOutcome apply(const JournalRecord& rec);
 
   // --- degraded-shard supervision ---------------------------------------
@@ -172,9 +158,7 @@ class BrokerFleet {
   // --- state ------------------------------------------------------------
   std::uint64_t seq() const { return seq_; }
   std::size_t num_shards() const { return shards_.size(); }
-  bool shard_alive(std::size_t k) const { return shards_[k] != nullptr; }
-  // The live shard broker (throws std::logic_error while it is down).
-  const Broker& shard(std::size_t k) const;
+  const Broker& shard(std::size_t k) const { return *shards_[k]; }
   std::uint64_t shard_seq(std::size_t k) const { return shard_seq_[k]; }
   // The logical (global) subscription table: byte-identical to the table a
   // single broker fed the same stream would hold.
@@ -192,36 +176,10 @@ class BrokerFleet {
   // per-shard WALs are the durability seams under test; this is the
   // routing log recovery replays forward.
   void set_fleet_journal(std::ostream* sink, bool write_header = true);
-  // Shard k's write-ahead journal (re-stamped local records).  The fleet
-  // remembers the stream and re-attaches it to a promoted or recovered
-  // broker — the journal handoff.
+  // Shard k's write-ahead journal (re-stamped local records).
   void set_shard_journal(std::size_t k, std::ostream* sink,
                          bool write_header = true);
   FleetCheckpoint checkpoint() const;
-
-  // --- clone pattern / failover (serve/catchup.h drives these) ----------
-  // Snapshot + buffered updates for a late joiner of shard k.
-  FleetStateReply state_reply(std::size_t k) const;
-  // Stream every future shard-k record to `replica` (nullptr detaches).
-  // The fleet does not own it; a replica that throws InjectedCrash while
-  // applying is dropped (counted) — the standby died, not the shard.
-  void attach_replica(std::size_t k, ShardReplica* replica);
-  void detach_replica(std::size_t k);
-  ShardReplica* replica(std::size_t k) const { return replicas_[k]; }
-  // Simulated primary death: the shard broker is discarded (its journal
-  // stream and the fleet's bookkeeping survive).  apply() throws until the
-  // shard is promoted into or recovered.
-  void kill_shard(std::size_t k);
-  // Failover: replay the durable journal tail into the standby (the
-  // promote.journal_handoff fail point covers this window), verify it
-  // reaches the shard's exact seq, re-attach the shard journal and install
-  // it as the live shard.  The standby is consumed.
-  void promote(std::size_t k, ShardReplica&& standby,
-               std::span<const JournalRecord> journal_tail);
-  // Cold failover path (no standby): Broker::Recover from the shard's
-  // snapshot + journal, verified to the shard's exact seq.
-  void recover_shard(std::size_t k, const BrokerSnapshot& snapshot,
-                     std::span<const JournalRecord> journal);
 
   // --- telemetry --------------------------------------------------------
   MetricsRegistry& metrics() const { return *metrics_; }
@@ -232,15 +190,14 @@ class BrokerFleet {
   // armed with Broker::set_trace_context so the whole publish shares one
   // id.
   const TraceRing& trace() const { return trace_; }
-  // Every retained span — coordinator, live shards, attached replicas —
-  // stable-sorted by (trace_id, shard, stage, seq) so one WriteTraceJson
-  // dump holds each traced publish's complete causal tree contiguously.
+  // Every retained span — coordinator and shards — stable-sorted by
+  // (trace_id, shard, stage, seq) so one WriteTraceJson dump holds each
+  // traced publish's complete causal tree contiguously.
   std::vector<TraceSpan> collect_spans() const;
   std::uint64_t trace_recorded() const;  // summed across all rings
   std::uint64_t trace_dropped() const;
   // Per-shard publish-latency histograms (`fleet_shard_publish_ms`,
-  // kRuntime), indexed by shard, null while a shard is down — the
-  // FleetWatchdog::check input.
+  // kRuntime), indexed by shard — the FleetWatchdog::check input.
   std::vector<const Histogram*> shard_publish_histograms() const;
   // Mutable shard access for fault-injection tests ONLY (e.g. forcing a
   // digest divergence the auditor must catch).  Mutating a shard outside
@@ -254,7 +211,6 @@ class BrokerFleet {
 
   BrokerOptions shard_options() const;
   void init_obs(std::size_t num_shards);
-  void install_shard(std::size_t k, std::unique_ptr<Broker> broker);
   JournalRecord make_record(BrokerCommand cmd);
   void validate(const JournalRecord& rec) const;
   void journal_fleet_record(const JournalRecord& rec);
@@ -265,7 +221,6 @@ class BrokerFleet {
   void scatter(std::size_t k, std::span<const SubscriberId> local_ids);
   FleetPublishOutcome finish_publish(const JournalRecord& rec);
   void finish_churn(const JournalRecord& rec);
-  void prune_buffers();
   void update_gauges();
 
   const PublicationModel* pub_;
@@ -275,12 +230,7 @@ class BrokerFleet {
   ManualClock* clock_ = nullptr;
 
   std::vector<std::unique_ptr<Broker>> shards_;
-  std::vector<std::uint64_t> shard_seq_;  // survives a shard kill
-  std::vector<std::ostream*> shard_journal_os_;  // for the journal handoff
-  std::vector<ShardReplica*> replicas_;
-  // Shard-local records since each shard's last refresh-boundary snapshot
-  // (the buffered half of state_reply; pruned as checkpoints advance).
-  std::vector<std::vector<JournalRecord>> update_buffer_;
+  std::vector<std::uint64_t> shard_seq_;
 
   // Logical (global) view: the id maps and the mirrored table.
   Workload logical_;
@@ -320,10 +270,6 @@ class BrokerFleet {
   Counter* c_churn_ = nullptr;
   Counter* c_stalls_ = nullptr;
   Counter* c_heals_ = nullptr;
-  Counter* c_kills_ = nullptr;
-  Counter* c_promotions_ = nullptr;
-  Counter* c_recoveries_ = nullptr;
-  Counter* c_replica_drops_ = nullptr;
   Gauge* g_shards_ = nullptr;
   Gauge* g_seq_ = nullptr;
   Gauge* g_live_ = nullptr;
@@ -332,7 +278,6 @@ class BrokerFleet {
   Histogram* h_fanout_ms_ = nullptr;  // kRuntime wall time per fan-out
   std::vector<Gauge*> g_shard_seq_;
   std::vector<Gauge*> g_shard_subs_;
-  std::vector<Gauge*> g_shard_up_;
   std::vector<Gauge*> g_shard_degraded_;
   std::vector<Histogram*> h_shard_publish_;  // kRuntime, watchdog input
 
@@ -345,13 +290,13 @@ class BrokerFleet {
 };
 
 // Aggregated fleet exposition: the fleet registry's snapshot merged with
-// every live shard's registry under a distinct shard="k" label, shards
+// every shard's registry under a distinct shard="k" label, shards
 // ascending.  Stability classes survive the merge, so the
 // include_runtime=false subset stays byte-identical across --threads.
 MetricsSnapshot FleetScrape(const BrokerFleet& fleet,
                             bool include_runtime = true);
 
-// Audit inputs for FleetWatchdog::audit: each live shard's actual seq and
+// Audit inputs for FleetWatchdog::audit: each shard's actual seq and
 // digest against the fleet's bookkeeping (shard_seq).
 std::vector<ShardAuditSample> CollectShardAudit(const BrokerFleet& fleet);
 

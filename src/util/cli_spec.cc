@@ -211,10 +211,6 @@ std::vector<CliCommand> BuildCommands() {
            {"cycles", "N", "kill/recover cycles to force (200)"},
            {"chaos-seed", "N", "fault site/timing selection seed (1)"},
            {"snapshot-every", "N", "checkpoint cadence in commands (50)"},
-           {"promotions", "N",
-            "also run N fleet kill/promote cycles under "
-            "promote.journal_handoff (0 = skip)"},
-           {"shards", "N", "fleet shards for the promotion cycles (3)"},
            {"modes", "1|4|9", "stock-model publication hot spots (1)"},
        } + BrokerFlags() + CommonFlags()});
 

@@ -97,6 +97,11 @@ void FailPoints::configure(const std::string& spec) {
       throw std::invalid_argument("failpoint '" + entry +
                                   "': want site=action[:arg][*count][^skip][+seq][@prob]");
     const std::string site = entry.substr(0, eq);
+    const std::vector<FailPointSite>& known = KnownSites();
+    if (std::none_of(known.begin(), known.end(),
+                     [&site](const FailPointSite& k) { return site == k.name; }))
+      throw std::invalid_argument("failpoint '" + entry + "': unknown site '" +
+                                  site + "' (see docs/OPERATIONS.md)");
     std::string rest = entry.substr(eq + 1);
 
     Impl::Entry e;
@@ -211,10 +216,7 @@ const std::vector<FailPointSite>& FailPoints::KnownSites() {
        "shard drill for the watchdog)"},
       {"journal.flush", "journal fsync: error = flush failure"},
       {"journal.write", "journal append: torn/short/crashed record write"},
-      {"promote.journal_handoff",
-       "crash while a promoted standby replays the durable journal tail"},
       {"recover.replay", "crash while replaying the journal tail"},
-      {"replica.apply", "crash applying a streamed record on a standby"},
       {"snapshot.flush", "snapshot fsync: error = flush failure"},
       {"snapshot.write", "snapshot serialization: torn/crashed write"},
   };

@@ -92,8 +92,8 @@ class FailPoints {
   static FailPoints& Instance();
 
   // Parse and arm `spec` (grammar above), merging over the current
-  // configuration.  Unknown sites are accepted — new call sites may exist
-  // in branches — but a malformed entry throws std::invalid_argument.
+  // configuration.  A malformed entry, or one naming a site that is not in
+  // KnownSites(), throws std::invalid_argument.
   void configure(const std::string& spec);
   // Arm from PUBSUB_FAILPOINTS / PUBSUB_FAILPOINTS_SEED if set.
   void configure_from_env();

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "broker/chaos.h"
-#include "broker/replica.h"
 #include "io/serialize.h"
 #include "sim/experiment.h"
 #include "sim/scenario.h"
@@ -369,53 +368,6 @@ TEST(Broker, KillAndRecoverIsBitIdentical) {
     SCOPED_TRACE(closure ? "closure on" : "closure off");
     ExpectKillAndRecoverBitIdentical(closure);
   }
-}
-
-TEST(Broker, WarmStandbyPromotionIsBitIdentical) {
-  BrokerFixture f;
-  const BrokerOptions opts = f.SmallOptions();
-  ManualClock primary_clock;
-  Broker primary = f.MakeBroker(opts, &primary_clock);
-
-  // Bootstrap the standby from the primary's seq-0 snapshot and wire it to
-  // the live record stream.
-  ManualClock standby_clock;
-  BrokerReplica replica(primary.snapshot(), *f.scenario.pub,
-                        f.scenario.net.graph, opts, &standby_clock);
-  JournalRecord last_record;
-  primary.set_record_listener([&](const JournalRecord& rec) {
-    replica.apply(rec);
-    last_record = rec;
-  });
-
-  f.Drive(primary, primary_clock);
-  EXPECT_EQ(replica.seq(), primary.seq());
-  EXPECT_EQ(replica.broker().state_digest(), primary.state_digest());
-  EXPECT_EQ(WithoutProvenance(replica.broker().stats()),
-            WithoutProvenance(primary.stats()));
-
-  // A resent record is ignored; a gap is a hard error.
-  replica.apply(last_record);
-  EXPECT_EQ(replica.seq(), primary.seq());
-  JournalRecord gap = last_record;
-  gap.seq += 2;
-  EXPECT_THROW(replica.apply(gap), std::runtime_error);
-
-  // Failover: detach the stream, then promote.  A spent replica rejects
-  // further records instead of crashing.
-  primary.set_record_listener({});
-  std::unique_ptr<Broker> promoted = std::move(replica).promote();
-  EXPECT_THROW(replica.apply(last_record), std::logic_error);
-  primary_clock.advance(4.0);
-  standby_clock.advance_to(primary_clock.now_ms());
-  const PublishOutcome a =
-      primary.publish(f.events[1].pub.origin, f.events[1].pub.point);
-  const PublishOutcome b =
-      promoted->publish(f.events[1].pub.origin, f.events[1].pub.point);
-  EXPECT_EQ(a.group_id, b.group_id);
-  EXPECT_EQ(ToVec(a.unicast_targets), ToVec(b.unicast_targets));
-  EXPECT_EQ(ToVec(a.timing.latencies_ms), ToVec(b.timing.latencies_ms));
-  EXPECT_EQ(primary.state_digest(), promoted->state_digest());
 }
 
 TEST(Broker, Validation) {

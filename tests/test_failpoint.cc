@@ -57,9 +57,9 @@ TEST_F(FailPointTest, SkipLetsEarlyEvaluationsPass) {
 }
 
 TEST_F(FailPointTest, OffEntryDisarmsAndListsParse) {
-  fp().configure(" journal.flush=error , snapshot.flush=error ;replica.apply=crash");
+  fp().configure(" journal.flush=error , snapshot.flush=error ;recover.replay=crash");
   EXPECT_EQ(fp().eval("snapshot.flush").action, FailAction::kError);
-  fp().configure("snapshot.flush=off,journal.flush=off,replica.apply=off");
+  fp().configure("snapshot.flush=off,journal.flush=off,recover.replay=off");
   EXPECT_FALSE(fp().active());  // everything disarmed again
 }
 
@@ -91,6 +91,11 @@ TEST_F(FailPointTest, MalformedSpecsThrow) {
   EXPECT_THROW(fp().configure("journal.write=crash+x"), std::invalid_argument);
   EXPECT_THROW(fp().configure("journal.write=crash@1.5"), std::invalid_argument);
   EXPECT_THROW(fp().configure("journal.write=crash@nope"), std::invalid_argument);
+  // A site not compiled into the tree is rejected, never armed silently.
+  EXPECT_THROW(fp().configure("jornal.flush=error"), std::invalid_argument);
+  EXPECT_THROW(fp().configure("replica.apply=crash"), std::invalid_argument);
+  EXPECT_THROW(fp().configure("promote.journal_handoff=crash"),
+               std::invalid_argument);
 }
 
 TEST_F(FailPointTest, SeqGateKeepsSiteDormantUntilReported) {

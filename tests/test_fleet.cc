@@ -1,10 +1,8 @@
 // Tests for the sharded broker fleet (src/serve): the tentpole invariant
 // — at any shard count the fleet digest is bit-identical to a
-// single-broker oracle at every sequence number — plus the clone-pattern
-// failover path (late-joiner catch-up, promotion, the
-// promote.journal_handoff fail point and the cold-recovery fallback),
-// checkpoint/recover round trips, degraded-shard stall/heal, and the
-// deterministic event loop that drives the serve daemon.
+// single-broker oracle at every sequence number — plus checkpoint/recover
+// round trips, degraded-shard stall/heal, and the deterministic event loop
+// that drives the serve daemon.
 #include "serve/fleet.h"
 
 #include <gtest/gtest.h>
@@ -22,7 +20,6 @@
 #include "io/serialize.h"
 #include "obs/clock.h"
 #include "obs/watchdog.h"
-#include "serve/catchup.h"
 #include "serve/event_loop.h"
 #include "sim/scenario.h"
 #include "util/failpoint.h"
@@ -132,176 +129,6 @@ TEST(Fleet, ColdInterestedMatchesPublishOutcome) {
     ASSERT_TRUE(std::equal(out.interested.begin(), out.interested.end(),
                            cold.begin(), cold.end()));
   }
-}
-
-// Clone pattern, shard level: a late joiner bootstraps from
-// state_reply (snapshot-at-seq + buffered updates), follows the live
-// stream, and is promoted into the shard after a kill without desyncing
-// the fleet digest.
-TEST(FleetCatchup, LateJoinerStreamsAndPromotes) {
-  const Scenario sc = MakeStockScenario(60, PublicationHotSpots::kOne, 91);
-  const auto schedule = BuildChaosSchedule(sc.net, sc.workload, 150, 4, 7);
-  const BrokerOptions bopts = SmallBrokerOptions();
-
-  BrokerFleet fleet(sc.workload, *sc.pub, sc.net.graph, SmallFleetOptions(3));
-  std::vector<std::ostringstream> disks(3);
-  for (std::size_t k = 0; k < 3; ++k)
-    fleet.set_shard_journal(k, &disks[k]);
-  FleetOracle oracle(sc.workload, *sc.pub, sc.net.graph, bopts);
-
-  std::size_t i = 0;
-  for (; i < 60; ++i) {
-    fleet.apply(schedule[i]);
-    oracle.apply(schedule[i]);
-  }
-
-  // Late joiner for shard 1, mid-stream: state-request/state-reply lands
-  // it at the shard's exact seq.
-  const FleetStateReply reply = fleet.state_reply(1);
-  EXPECT_EQ(reply.shard, 1);
-  ShardReplica standby(reply, *sc.pub, sc.net.graph, bopts);
-  EXPECT_EQ(standby.shard(), 1);
-  ASSERT_EQ(standby.seq(), fleet.shard_seq(1));
-
-  fleet.attach_replica(1, &standby);
-  EXPECT_EQ(fleet.replica(1), &standby);
-  for (; i < 120; ++i) {
-    fleet.apply(schedule[i]);
-    oracle.apply(schedule[i]);
-  }
-  // The follower stayed in lock-step with the live stream.
-  ASSERT_EQ(standby.seq(), fleet.shard_seq(1));
-  EXPECT_EQ(standby.broker().state_digest(), fleet.shard(1).state_digest());
-
-  // Primary dies; the standby takes over through the journal handoff.
-  fleet.kill_shard(1);
-  EXPECT_FALSE(fleet.shard_alive(1));
-  EXPECT_THROW(fleet.shard(1), std::logic_error);
-  EXPECT_THROW(fleet.apply(schedule[i]), std::logic_error);
-
-  fleet.promote(1, std::move(standby), ParseJournal(disks[1].str()));
-  ASSERT_TRUE(fleet.shard_alive(1));
-  EXPECT_EQ(fleet.shard(1).seq(), fleet.shard_seq(1));
-
-  for (; i < schedule.size(); ++i) {
-    fleet.apply(schedule[i]);
-    oracle.apply(schedule[i]);
-  }
-  EXPECT_EQ(fleet.state_digest(), oracle.state_digest());
-}
-
-// A standby that never followed the live stream catches up purely from
-// the durable journal tail during promotion.
-TEST(FleetCatchup, ColdStandbyCatchesUpFromJournalTail) {
-  const Scenario sc = MakeStockScenario(50, PublicationHotSpots::kOne, 91);
-  const auto schedule = BuildChaosSchedule(sc.net, sc.workload, 100, 4, 7);
-  const BrokerOptions bopts = SmallBrokerOptions();
-
-  BrokerFleet fleet(sc.workload, *sc.pub, sc.net.graph, SmallFleetOptions(2));
-  std::vector<std::ostringstream> disks(2);
-  for (std::size_t k = 0; k < 2; ++k)
-    fleet.set_shard_journal(k, &disks[k]);
-  FleetOracle oracle(sc.workload, *sc.pub, sc.net.graph, bopts);
-
-  std::size_t i = 0;
-  for (; i < 50; ++i) {
-    fleet.apply(schedule[i]);
-    oracle.apply(schedule[i]);
-  }
-  ShardReplica standby(fleet.state_reply(0), *sc.pub, sc.net.graph, bopts);
-  const std::uint64_t standby_seq = standby.seq();
-
-  // The shard moves on without the standby: it is now behind.
-  for (; i < 80; ++i) {
-    fleet.apply(schedule[i]);
-    oracle.apply(schedule[i]);
-  }
-  ASSERT_EQ(standby.seq(), standby_seq);
-  ASSERT_LT(standby.seq(), fleet.shard_seq(0));
-
-  fleet.kill_shard(0);
-  fleet.promote(0, std::move(standby), ParseJournal(disks[0].str()));
-  ASSERT_EQ(fleet.shard(0).seq(), fleet.shard_seq(0));
-
-  for (; i < schedule.size(); ++i) {
-    fleet.apply(schedule[i]);
-    oracle.apply(schedule[i]);
-  }
-  EXPECT_EQ(fleet.state_digest(), oracle.state_digest());
-}
-
-// The promote.journal_handoff fail point kills the standby mid-handoff;
-// the cold snapshot+journal fallback still restores the shard and the
-// fleet digest never desyncs.
-TEST(FleetChaos, HandoffCrashFallsBackToColdRecovery) {
-  const Scenario sc = MakeStockScenario(50, PublicationHotSpots::kOne, 91);
-  const auto schedule = BuildChaosSchedule(sc.net, sc.workload, 100, 4, 7);
-  const BrokerOptions bopts = SmallBrokerOptions();
-
-  BrokerFleet fleet(sc.workload, *sc.pub, sc.net.graph, SmallFleetOptions(3));
-  std::vector<std::ostringstream> disks(3);
-  for (std::size_t k = 0; k < 3; ++k)
-    fleet.set_shard_journal(k, &disks[k]);
-  FleetOracle oracle(sc.workload, *sc.pub, sc.net.graph, bopts);
-
-  std::size_t i = 0;
-  for (; i < 70; ++i) {
-    fleet.apply(schedule[i]);
-    oracle.apply(schedule[i]);
-  }
-  const FleetCheckpoint cp = fleet.checkpoint();
-
-  ShardReplica standby(fleet.state_reply(2), *sc.pub, sc.net.graph, bopts);
-  fleet.kill_shard(2);
-  const std::vector<JournalRecord> tail = ParseJournal(disks[2].str());
-
-  FailPoints::Instance().clear();
-  FailPoints::Instance().configure("promote.journal_handoff=crash*1");
-  EXPECT_THROW(fleet.promote(2, std::move(standby), tail), InjectedCrash);
-  FailPoints::Instance().clear();
-  EXPECT_FALSE(fleet.shard_alive(2));  // the standby died, the shard stayed down
-
-  fleet.recover_shard(2, cp.shard_snapshots[2], tail);
-  ASSERT_TRUE(fleet.shard_alive(2));
-  ASSERT_EQ(fleet.shard(2).seq(), fleet.shard_seq(2));
-
-  for (; i < schedule.size(); ++i) {
-    fleet.apply(schedule[i]);
-    oracle.apply(schedule[i]);
-  }
-  EXPECT_EQ(fleet.state_digest(), oracle.state_digest());
-}
-
-// The scripted adversary: seeded kill/promote cycles with the fail point
-// armed on some handoffs, checked against the oracle after every cycle.
-TEST(FleetChaos, PromotionCyclesStayBitIdentical) {
-  PromotionChaosOptions opts;
-  opts.num_shards = 3;
-  opts.num_events = 200;
-  opts.churn_every = 4;
-  opts.cycles = 18;
-  opts.snapshot_every = 40;
-  opts.broker = SmallBrokerOptions();
-
-  const Scenario sc = MakeStockScenario(50, PublicationHotSpots::kOne, 61);
-  const PromotionChaosReport r =
-      RunPromotionChaos(sc.net, sc.workload, *sc.pub, opts);
-
-  EXPECT_EQ(r.cycles, 18u);
-  EXPECT_GT(r.standbys_built, 0u);
-  EXPECT_GT(r.promotions, 0u);
-  EXPECT_GE(r.handoff_crashes, 1u);  // the fail point actually fired
-  EXPECT_EQ(r.shard_recoveries, r.handoff_crashes);
-  EXPECT_GT(r.digest_checks, 0u);
-  EXPECT_EQ(r.digest_mismatches, 0u);
-  EXPECT_EQ(r.final_seq, r.commands);
-  EXPECT_TRUE(r.digests_match);
-  EXPECT_TRUE(r.ok());
-  // The harness disarms the global registry behind itself.
-  EXPECT_FALSE(FailPoints::Instance().active());
-
-  const std::string report = FormatPromotionChaosReport(r);
-  EXPECT_NE(report.find("PASS"), std::string::npos);
 }
 
 // Clone pattern, fleet level: manifest + shard snapshots + shard journals
@@ -601,38 +428,6 @@ TEST(FleetTrace, TraceJsonDumpCarriesEveryStage) {
   // Coordinator spans carry shard -1; fanned-out spans the shard id.
   EXPECT_NE(text.find("\"shard\":-1"), std::string::npos);
   EXPECT_NE(text.find("\"shard\":1"), std::string::npos);
-}
-
-// An attached standby rides the same causal tree: its catch-up applies
-// carry the fleet trace id as replica_apply spans.
-TEST(FleetTrace, AttachedReplicaSpansCarryFleetTraceId) {
-  const Scenario sc = MakeStockScenario(50, PublicationHotSpots::kOne, 91);
-  const auto schedule = BuildChaosSchedule(sc.net, sc.workload, 60, 4, 7);
-  ManualClock clock;
-  const FleetOptions fopts = TracedFleetOptions(2, &clock);
-  BrokerFleet fleet(sc.workload, *sc.pub, sc.net.graph, fopts, &clock);
-  const std::size_t half = schedule.size() / 2;
-  for (std::size_t i = 0; i < half; ++i) fleet.apply(schedule[i]);
-
-  BrokerOptions standby_opts = fopts.broker;
-  standby_opts.obs.metrics = nullptr;
-  ShardReplica standby(fleet.state_reply(0), *sc.pub, sc.net.graph,
-                       standby_opts, &clock);
-  fleet.attach_replica(0, &standby);
-  for (std::size_t i = half; i < schedule.size(); ++i) fleet.apply(schedule[i]);
-
-  const std::vector<TraceSpan> replica_spans = standby.trace().spans();
-  ASSERT_FALSE(replica_spans.empty());
-  for (const TraceSpan& s : replica_spans) {
-    EXPECT_EQ(s.stage, PublishStage::kReplicaApply);
-    EXPECT_EQ(s.shard, 0);
-    EXPECT_NE(s.trace_id, 0u);
-  }
-  // collect_spans folds the attached standby's ring into the fleet dump.
-  std::size_t replica_in_dump = 0;
-  for (const TraceSpan& s : fleet.collect_spans())
-    if (s.stage == PublishStage::kReplicaApply) ++replica_in_dump;
-  EXPECT_EQ(replica_in_dump, replica_spans.size());
 }
 
 // ---- aggregated exposition --------------------------------------------------

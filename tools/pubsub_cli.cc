@@ -26,12 +26,12 @@
 #include <limits>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "broker/broker.h"
 #include "broker/chaos.h"
-#include "serve/catchup.h"
 #include "serve/event_loop.h"
 #include "serve/fleet.h"
 #include "core/algorithms.h"
@@ -473,11 +473,6 @@ void WriteFleetMetricsOutputs(const BrokerFleet& fleet, const Flags& flags) {
 void PrintFleetReport(const BrokerFleet& fleet) {
   std::printf("fleet shards      %zu\n", fleet.num_shards());
   for (std::size_t k = 0; k < fleet.num_shards(); ++k) {
-    if (!fleet.shard_alive(k)) {
-      std::printf("  shard %zu         down (seq %llu)\n", k,
-                  (unsigned long long)fleet.shard_seq(k));
-      continue;
-    }
     const Broker& b = fleet.shard(k);
     std::printf("  shard %zu         seq %llu, %zu subscribers%s\n", k,
                 (unsigned long long)fleet.shard_seq(k),
@@ -850,11 +845,6 @@ int Top(const Flags& flags) {
                 fleet.live_subscribers(), fleet.stalled() ? 1 : 0,
                 backlog.size(), alerts_total);
     for (std::size_t k = 0; k < fleet.num_shards(); ++k) {
-      if (!fleet.shard_alive(k)) {
-        std::printf("  shard %zu  DOWN  seq=%llu\n", k,
-                    (unsigned long long)fleet.shard_seq(k));
-        continue;
-      }
       const Broker& b = fleet.shard(k);
       const Histogram* h = hists[k];
       const double p50 =
@@ -977,8 +967,8 @@ int Stats(const Flags& flags) {
 }
 
 // Scripted kill/recover cycles against an in-memory disk; exits 0 only if
-// every recovered incarnation (and the warm standby) stayed bit-identical
-// to the un-faulted reference run.
+// every recovered incarnation stayed bit-identical to the un-faulted
+// reference run.
 int Chaos(const Flags& flags) {
   flags.require_known(CliFlagNames("chaos"));
   const std::string net_path = flags.get("net", "");
@@ -1006,30 +996,7 @@ int Chaos(const Flags& flags) {
 
   const ChaosReport report = RunChaos(net, wl, *model, copts);
   std::fputs(FormatChaosReport(report).c_str(), stdout);
-  bool ok = report.digests_match && report.replica_matches &&
-            report.digest_mismatches == 0;
-
-  // --promotions extends the run to the fleet's failover seam: seeded
-  // kill/promote cycles with the promote.journal_handoff fail point armed
-  // on some of them, falling back to cold shard recovery when the standby
-  // crashes mid-handoff.
-  const auto promotions = flags.get_count("promotions", 0);
-  if (promotions > 0) {
-    PromotionChaosOptions popts;
-    popts.num_shards = flags.get_count("shards", 3);
-    popts.num_events = copts.num_events;
-    popts.churn_every = copts.churn_every;
-    popts.seed = copts.seed;
-    popts.chaos_seed = copts.chaos_seed;
-    popts.cycles = promotions;
-    popts.snapshot_every = copts.snapshot_every;
-    popts.broker = copts.broker;
-    const PromotionChaosReport prep = RunPromotionChaos(net, wl, *model, popts);
-    std::fputs("\n", stdout);
-    std::fputs(FormatPromotionChaosReport(prep).c_str(), stdout);
-    ok = ok && prep.ok();
-  }
-  return ok ? 0 : 1;
+  return report.digests_match && report.digest_mismatches == 0 ? 0 : 1;
 }
 
 int Run(int argc, char** argv) {
@@ -1044,12 +1011,16 @@ int Run(int argc, char** argv) {
   const Flags flags(argc - 1, argv + 1);
   try {
     ConfigureThreadsFromFlags(flags);
-    FailPoints::Instance().configure_from_env();
-    if (flags.has("failpoints-seed"))
-      FailPoints::Instance().set_seed(
-          static_cast<std::uint64_t>(flags.get_int("failpoints-seed", 0)));
-    if (flags.has("failpoints"))
-      FailPoints::Instance().configure(flags.get("failpoints", ""));
+    try {
+      FailPoints::Instance().configure_from_env();
+      if (flags.has("failpoints-seed"))
+        FailPoints::Instance().set_seed(
+            static_cast<std::uint64_t>(flags.get_int("failpoints-seed", 0)));
+      if (flags.has("failpoints"))
+        FailPoints::Instance().configure(flags.get("failpoints", ""));
+    } catch (const std::invalid_argument& e) {
+      Usage(e.what());  // a malformed entry or an unknown fail-point site
+    }
     if (cmd == "gen-net") return GenNet(flags);
     if (cmd == "gen-workload") return GenWorkload(flags);
     if (cmd == "cluster") return Cluster(flags);
