@@ -43,7 +43,7 @@ int Run(int argc, char** argv) {
     double improvement;
   };
   std::vector<Sample> samples;
-  for (const std::string& name : {"forgy", "kmeans", "approx-pairs", "mst"}) {
+  for (const char* name : {"forgy", "kmeans", "approx-pairs", "mst"}) {
     for (const std::size_t budget : {500u, 1000u, 2000u, 4000u, 6000u, 9000u}) {
       const bench::EvalResult r = bench::EvaluateGridAlgorithm(
           p, GridAlgorithmByName(name), K, budget, seed + 2);

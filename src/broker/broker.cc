@@ -64,7 +64,7 @@ Broker::Broker(RestoreTag, const BrokerSnapshot& snapshot,
   clock_ = clock;
   seq_ = snapshot.seq;
   seed_stats(snapshot.stats);
-  restore_index(snapshot.covering);
+  bootstrap_index();
   update_derived_gauges();
   checkpoint_ = snapshot;
 }
@@ -281,10 +281,12 @@ void Broker::update_derived_gauges() {
                                       static_cast<double>(msgs));
 }
 
-// Bulk-load the covering table from the current table (ascending
-// subscriber order — canonical, so two brokers bootstrapping the same
-// workload agree exactly) and derive the slab index from it.  Tombstoned
-// and out-of-domain interests clip to empty and stay unindexed.
+// Bulk-load the covering table from the subscription table (ascending
+// subscriber order) and derive the slab index from it.  A fresh broker and
+// a recovered one both build their index here.  The layout can differ from
+// that of a live broker which reached the same table through churn, but no
+// output depends on it (core/covering.h).  Tombstoned and out-of-domain
+// interests clip to empty and stay unindexed.
 void Broker::bootstrap_index() {
   covering_ = CoveringTable();
   const Rect domain = mgr_->workload().space.domain_rect();
@@ -296,21 +298,8 @@ void Broker::bootstrap_index() {
     if (clipped.empty()) continue;
     covering_.subscribe(static_cast<SubscriberId>(i), clipped, delta_);
   }
-  delta_.clear();  // the bulk rebuild below supersedes the incremental ops
-  rebuild_slab();
-}
-
-// Adopt a snapshot's covering image verbatim (exact state, including entry
-// ids and free-list order) and derive the slab index from it.
-void Broker::restore_index(const CoveringState& state) {
-  covering_.import_state(state);
-  rebuild_slab();
-}
-
-void Broker::rebuild_slab() {
+  delta_.clear();  // the bulk build below supersedes the incremental ops
   slab_ = SlabIndex(covering_.indexed_entries(), covering_.entry_capacity());
-  Set(g_live_subscribers_,
-      static_cast<double>(covering_.subscriber_count()));
 }
 
 std::unique_ptr<Broker> Broker::Recover(const BrokerSnapshot& snapshot,
@@ -750,7 +739,6 @@ void Broker::capture_checkpoint() {
   checkpoint_.churn_since_full_build = mgr_->churn_since_full_build();
   checkpoint_.queue_state = runtime_->queue_state();
   checkpoint_.stats = stats();
-  checkpoint_.covering = covering_.export_state();
 }
 
 std::uint64_t Broker::write_snapshot(std::ostream& os) const {

@@ -15,11 +15,12 @@
 //     stamp) appended to a write-ahead journal *before* it is applied;
 //   * snapshots are captured at refresh boundaries, where the table, grid
 //     and clustering agree and the policy's waste window is empty;
-//   * recovery = load the latest snapshot, rebuild the grid from its table
-//     (a pure function), adopt its clustering verbatim, restore queue
-//     state, then replay the journal tail.  Replay applies each record's
-//     *recorded* timestamp, so the recovered broker is bit-identical to an
-//     uninterrupted run — match decisions, latencies and counters alike.
+//   * recovery = load the latest snapshot, rebuild the grid and the
+//     covering index from its table (pure functions), adopt its clustering
+//     verbatim, restore queue state, then replay the journal tail.  Replay
+//     applies each record's *recorded* timestamp, so the recovered broker
+//     is bit-identical to an uninterrupted run — match decisions, latencies
+//     and counters alike.
 //
 // Determinism inputs are explicit: a pluggable Clock stamps commands, and
 // nothing in the command path draws randomness (clustering warm starts are
@@ -267,8 +268,6 @@ class Broker {
   void maybe_refresh(PublishOutcome* outcome);
   void capture_checkpoint();
   void bootstrap_index();
-  void restore_index(const CoveringState& state);
-  void rebuild_slab();
   void index_insert(SubscriberId id, const Rect& interest);
   void index_erase(SubscriberId id);
   void index_update(SubscriberId id, const Rect& interest);

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "core/cluster_types.h"
-#include "core/covering_state.h"
 #include "geometry/rect.h"
 #include "workload/types.h"
 
@@ -88,8 +87,6 @@ struct BrokerSnapshot {
   // DeliveryRuntime per-node queue state (earliest idle time).
   std::vector<double> queue_state;
   BrokerStats stats;
-  // Covering-table image at capture, adopted verbatim on restore.
-  CoveringState covering;
 };
 
 }  // namespace pubsub

@@ -215,142 +215,6 @@ std::vector<std::pair<Rect, int>> CoveringTable::indexed_entries() const {
   return out;
 }
 
-CoveringTable::State CoveringTable::export_state() const {
-  State st;
-  st.entries.reserve(entry_live_);
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    const Entry& entry = entries_[i];
-    if (entry.rect.dims() == 0) continue;  // free slot
-    EntryState es;
-    es.id = static_cast<EntryId>(i);
-    es.rect = entry.rect;
-    es.parent = entry.parent;
-    es.subs = entry.subs;
-    es.children = entry.children;
-    st.entries.push_back(std::move(es));
-  }
-  st.free_list = free_;
-  return st;
-}
-
-void CoveringTable::import_state(const State& state) {
-  entries_.clear();
-  free_.clear();
-  by_rect_.clear();
-  entry_of_.clear();
-  pos_.clear();
-  indexed_.clear();
-  rtree_ = RTree();
-  sub_count_ = 0;
-  entry_live_ = 0;
-  covered_subs_ = 0;
-  ndims_ = 0;
-
-  std::size_t cap = 0;
-  for (const EntryState& es : state.entries) {
-    if (es.id < 0)
-      throw std::invalid_argument("CoveringTable: negative entry id");
-    cap = std::max(cap, static_cast<std::size_t>(es.id) + 1);
-  }
-  for (const EntryId f : state.free_list) {
-    if (f < 0)
-      throw std::invalid_argument("CoveringTable: negative free-list id");
-    cap = std::max(cap, static_cast<std::size_t>(f) + 1);
-  }
-  entries_.resize(cap);
-  std::vector<char> used(cap, 0);  // 0 unaccounted, 1 free, 2 live
-  for (const EntryState& es : state.entries) {
-    if (used[static_cast<std::size_t>(es.id)] != 0)
-      throw std::invalid_argument("CoveringTable: duplicate entry id");
-    used[static_cast<std::size_t>(es.id)] = 2;
-  }
-  for (const EntryId f : state.free_list) {
-    if (used[static_cast<std::size_t>(f)] != 0)
-      throw std::invalid_argument("CoveringTable: free-list/entry conflict");
-    used[static_cast<std::size_t>(f)] = 1;
-  }
-  for (std::size_t i = 0; i < cap; ++i)
-    if (used[i] == 0)
-      throw std::invalid_argument("CoveringTable: unaccounted entry slot");
-  free_ = state.free_list;
-
-  for (const EntryState& es : state.entries) {
-    if (es.rect.dims() == 0 || es.rect.empty())
-      throw std::invalid_argument("CoveringTable: empty entry rectangle");
-    if (ndims_ == 0)
-      ndims_ = es.rect.dims();
-    else if (es.rect.dims() != ndims_)
-      throw std::invalid_argument("CoveringTable: mixed dimensionality");
-    Entry& entry = entries_[static_cast<std::size_t>(es.id)];
-    entry.rect = es.rect;
-    entry.parent = es.parent;
-    entry.subs = es.subs;
-    entry.children = es.children;
-    if (!by_rect_.emplace(es.rect, es.id).second)
-      throw std::invalid_argument("CoveringTable: duplicate entry rectangle");
-    ++entry_live_;
-  }
-
-  for (const EntryState& es : state.entries) {
-    Entry& entry = entries_[static_cast<std::size_t>(es.id)];
-    if (entry.parent >= 0) {
-      if (static_cast<std::size_t>(entry.parent) >= cap ||
-          used[static_cast<std::size_t>(entry.parent)] != 2)
-        throw std::invalid_argument("CoveringTable: bad parent id");
-      const Entry& par = entries_[static_cast<std::size_t>(entry.parent)];
-      if (par.parent >= 0)
-        throw std::invalid_argument(
-            "CoveringTable: covered parent (two-level violation)");
-      if (!par.rect.contains(entry.rect))
-        throw std::invalid_argument(
-            "CoveringTable: child not contained in parent");
-      if (!entry.children.empty())
-        throw std::invalid_argument("CoveringTable: covered entry has children");
-      covered_subs_ += entry.subs.size();
-    } else {
-      indexed_.insert(es.id);
-      rtree_.insert(entry.rect, es.id);
-    }
-    if (entry.subs.empty())
-      throw std::invalid_argument("CoveringTable: entry without riders");
-    for (std::size_t k = 0; k < entry.subs.size(); ++k) {
-      const SubscriberId sub = entry.subs[k];
-      if (sub < 0)
-        throw std::invalid_argument("CoveringTable: negative subscriber id");
-      if (static_cast<std::size_t>(sub) >= entry_of_.size()) {
-        entry_of_.resize(static_cast<std::size_t>(sub) + 1, -1);
-        pos_.resize(static_cast<std::size_t>(sub) + 1, 0);
-      }
-      if (entry_of_[static_cast<std::size_t>(sub)] >= 0)
-        throw std::invalid_argument("CoveringTable: subscriber listed twice");
-      entry_of_[static_cast<std::size_t>(sub)] = es.id;
-      pos_[static_cast<std::size_t>(sub)] = static_cast<std::uint32_t>(k);
-      ++sub_count_;
-    }
-  }
-
-  // Children cross-check: every child is listed exactly once, under the
-  // entry it names as parent, and every covered entry is listed.
-  std::vector<char> child_seen(cap, 0);
-  for (const EntryState& es : state.entries) {
-    for (const EntryId c : entries_[static_cast<std::size_t>(es.id)].children) {
-      if (c < 0 || static_cast<std::size_t>(c) >= cap ||
-          used[static_cast<std::size_t>(c)] != 2)
-        throw std::invalid_argument("CoveringTable: bad child id");
-      if (entries_[static_cast<std::size_t>(c)].parent != es.id)
-        throw std::invalid_argument("CoveringTable: child/parent mismatch");
-      if (child_seen[static_cast<std::size_t>(c)])
-        throw std::invalid_argument("CoveringTable: child listed twice");
-      child_seen[static_cast<std::size_t>(c)] = 1;
-    }
-  }
-  for (const EntryState& es : state.entries)
-    if (entries_[static_cast<std::size_t>(es.id)].parent >= 0 &&
-        !child_seen[static_cast<std::size_t>(es.id)])
-      throw std::invalid_argument(
-          "CoveringTable: covered entry missing from parent's children");
-}
-
 bool CoveringTable::check_invariants() const {
   std::size_t subs = 0;
   std::size_t covered = 0;

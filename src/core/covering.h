@@ -40,9 +40,11 @@
 //
 // Determinism: every tie is broken canonically (min-id coverer, ascending
 // re-home, LIFO id reuse, swap-pop rider removal), so the full table state
-// is a pure function of the churn-command stream — which is what lets a
-// snapshot embed the table verbatim (export_state/import_state) and a
-// restored broker continue bit-identically (DESIGN.md §10).
+// is a pure function of the churn-command stream, and two brokers fed the
+// same stream hold the same table.  Entry ids and rider order are never
+// observable: a broker recovered from a snapshot rebuilds its table from
+// the subscription table, with a different layout but the same rectangle
+// set, hence the same indexed set and matches (DESIGN.md §10).
 #pragma once
 
 #include <cstddef>
@@ -51,7 +53,6 @@
 #include <set>
 #include <vector>
 
-#include "core/covering_state.h"
 #include "geometry/rect.h"
 #include "index/rtree.h"
 #include "workload/types.h"
@@ -94,10 +95,6 @@ class CoveringTable {
     return sub >= 0 && static_cast<std::size_t>(sub) < entry_of_.size() &&
            entry_of_[static_cast<std::size_t>(sub)] >= 0;
   }
-  // The entry `sub` rides (-1 when absent).
-  EntryId entry_of(SubscriberId sub) const {
-    return contains(sub) ? entry_of_[static_cast<std::size_t>(sub)] : -1;
-  }
 
   // Indexed (rect, entry-id) pairs in ascending id order — the bulk-load
   // image of the backing index.
@@ -119,16 +116,6 @@ class CoveringTable {
   std::size_t covered_subscriber_count() const { return covered_subs_; }
   // Upper bound on entry ids ever issued (backing-index universe sizing).
   std::size_t entry_capacity() const { return entries_.size(); }
-
-  // --- snapshot ---------------------------------------------------------
-  // Verbatim state for snapshot embedding (see core/covering_state.h).
-  using EntryState = CoveringEntryState;
-  using State = CoveringState;
-  State export_state() const;
-  // Replaces the table.  Throws std::invalid_argument on structural
-  // corruption (bad ids, a child not contained in its parent, a rider
-  // listed twice, free-list/entry disagreement).
-  void import_state(const State& state);
 
   // Structural invariants (two-level topology, containment, refcount
   // consistency, maximality of the indexed set); used by tests.

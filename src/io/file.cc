@@ -31,6 +31,8 @@ std::size_t StreamSink::write(const char* data, std::size_t n) {
         os_->flush();
         throw InjectedCrash(write_site_);
       }
+      case FailAction::kDelay:  // no write site implements it (KnownSites)
+        break;
     }
   }
   os_->write(data, static_cast<std::streamsize>(n));
@@ -43,11 +45,12 @@ bool StreamSink::flush() {
     const FailPointDecision d = fp.eval(flush_site_);
     switch (d.action) {
       case FailAction::kOff:
+      case FailAction::kTorn:   // no flush site implements these two
+      case FailAction::kDelay:  // (KnownSites)
         break;
       case FailAction::kError:
         return false;
       case FailAction::kCrash:
-      case FailAction::kTorn:
         throw InjectedCrash(flush_site_);
     }
   }

@@ -456,73 +456,8 @@ Rect ParseRect(LineReader& r, const std::vector<std::string>& toks,
   return Rect(std::move(ivals));
 }
 
-}  // namespace
+constexpr char kSnapshotHeader[] = "pubsub-broker-snapshot v5";
 
-void WriteCovering(std::ostream& os, const CoveringState& state) {
-  os << "pubsub-covering v1\n";
-  os << "entries " << state.entries.size() << '\n';
-  os << "free " << state.free_list.size() << '\n';
-  for (const CoveringEntryState& e : state.entries) {
-    os << "entry " << e.id << ' ' << e.parent << ' ' << e.subs.size() << ' '
-       << e.children.size();
-    WriteRect(os, e.rect);
-    os << '\n';
-    for (const SubscriberId s : e.subs) os << s << '\n';
-    for (const int c : e.children) os << c << '\n';
-  }
-  for (const int f : state.free_list) os << f << '\n';
-}
-
-CoveringState ReadCovering(std::istream& is, std::size_t dims) {
-  LineReader r(is);
-  r.expect(r.next(), "pubsub-covering v1");
-  CoveringState state;
-  const auto entries_line = SplitN(r, r.next(), 2);
-  if (entries_line[0] != "entries") r.fail("expected 'entries'");
-  const long entries = ParseLong(r, entries_line[1]);
-  if (entries < 0) r.fail("negative entry count");
-  const auto free_line = SplitN(r, r.next(), 2);
-  if (free_line[0] != "free") r.fail("expected 'free'");
-  const long free_count = ParseLong(r, free_line[1]);
-  if (free_count < 0) r.fail("negative free-list count");
-  state.entries.reserve(static_cast<std::size_t>(entries));
-  for (long i = 0; i < entries; ++i) {
-    const auto toks = SplitN(r, r.next(), 5 + 2 * dims);
-    if (toks[0] != "entry") r.fail("expected 'entry'");
-    CoveringEntryState e;
-    e.id = static_cast<int>(ParseLong(r, toks[1]));
-    e.parent = static_cast<int>(ParseLong(r, toks[2]));
-    const long nsubs = ParseLong(r, toks[3]);
-    const long nchildren = ParseLong(r, toks[4]);
-    if (e.id < 0) r.fail("negative entry id");
-    if (e.parent < -1) r.fail("bad parent id");
-    if (nsubs < 0 || nchildren < 0) r.fail("negative list count");
-    e.rect = ParseRect(r, toks, 5, dims);
-    e.subs.reserve(static_cast<std::size_t>(nsubs));
-    for (long k = 0; k < nsubs; ++k) {
-      const long s = ParseLong(r, SplitN(r, r.next(), 1)[0]);
-      if (s < 0) r.fail("negative subscriber id");
-      e.subs.push_back(static_cast<SubscriberId>(s));
-    }
-    e.children.reserve(static_cast<std::size_t>(nchildren));
-    for (long k = 0; k < nchildren; ++k) {
-      const long c = ParseLong(r, SplitN(r, r.next(), 1)[0]);
-      if (c < 0) r.fail("negative child id");
-      e.children.push_back(static_cast<int>(c));
-    }
-    state.entries.push_back(std::move(e));
-  }
-  state.free_list.reserve(static_cast<std::size_t>(free_count));
-  for (long i = 0; i < free_count; ++i) {
-    const long f = ParseLong(r, SplitN(r, r.next(), 1)[0]);
-    if (f < 0) r.fail("negative free-list id");
-    state.free_list.push_back(static_cast<int>(f));
-  }
-  return state;
-}
-
-namespace {
-constexpr char kSnapshotHeader[] = "pubsub-broker-snapshot v4";
 }  // namespace
 
 void WriteBrokerSnapshot(std::ostream& os, const BrokerSnapshot& snap) {
@@ -546,7 +481,6 @@ void WriteBrokerSnapshot(std::ostream& os, const BrokerSnapshot& snap) {
   c.cells_fed = static_cast<std::size_t>(snap.cells_fed);
   c.assignment = snap.assignment;
   WriteClustering(body, c);
-  WriteCovering(body, snap.covering);
   WriteChecksummed(os, body.str());
 }
 
@@ -588,7 +522,6 @@ BrokerSnapshot ReadBrokerSnapshot(std::istream& file) {
   snap.num_groups = c.num_groups;
   snap.cells_fed = c.cells_fed;
   snap.assignment = c.assignment;
-  snap.covering = ReadCovering(is, snap.workload.space.dims());
   return snap;
 }
 

@@ -70,18 +70,13 @@ void WriteClustering(std::ostream& os, const ClusteringFile& c);
 ClusteringFile ReadClustering(std::istream& is);
 
 // ------------------------------------------------------- broker durability
-// Covering-table image (core/covering_state.h): entries with their rider /
-// child lists in verbatim internal order plus the LIFO free list, so a
-// restore reproduces the exact table.  The reader needs the event-space
-// dimensionality (snapshots read it from the embedded workload first).
-void WriteCovering(std::ostream& os, const CoveringState& state);
-CoveringState ReadCovering(std::istream& is, std::size_t dims);
-
-// Snapshot: the full recovery image of broker/broker.h, captured at a
-// refresh boundary (embeds the workload, clustering and covering records
-// above).  The format is v4: v3's covering-table image plus the crc32c
-// trailer.  The reader rejects any other version as a bad header, and a
-// missing or mismatched trailer (a torn or altered file) before parsing.
+// Snapshot: the recovery image of broker/broker.h, captured at a refresh
+// boundary.  The format is v5: seq, counters and queue state, then the
+// embedded workload and clustering records above, then the crc32c
+// trailer.  It holds state, not indexes: recovery rebuilds the covering
+// table from the workload.  The reader rejects any other version (v4
+// stored the covering table too) as a bad header, and a missing or
+// mismatched trailer (a torn or altered file) before parsing.
 void WriteBrokerSnapshot(std::ostream& os, const BrokerSnapshot& snap);
 BrokerSnapshot ReadBrokerSnapshot(std::istream& is);
 

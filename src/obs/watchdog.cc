@@ -5,6 +5,14 @@
 #include <sstream>
 
 namespace pubsub {
+namespace {
+
+// Slow-shard noise guards: a p99 under kMinP99Ms, or one read from fewer
+// than kMinSamples observations, never alerts.
+constexpr double kMinP99Ms = 1.0;
+constexpr std::uint64_t kMinSamples = 16;
+
+}  // namespace
 
 const char* WatchdogAlertKindName(WatchdogAlertKind kind) {
   switch (kind) {
@@ -96,7 +104,6 @@ std::vector<WatchdogAlert> FleetWatchdog::check(
   std::vector<double> with_data;
   for (std::size_t k = 0; k < shard_publish.size(); ++k) {
     const Histogram* h = shard_publish[k];
-    if (h == nullptr) continue;
     counts[k] = h->count();
     if (counts[k] == 0) continue;
     p99[k] = HistogramQuantile(h->upper_bounds(), h->bucket_counts(), 0.99);
@@ -110,14 +117,13 @@ std::vector<WatchdogAlert> FleetWatchdog::check(
 
   for (std::size_t k = 0; k < shard_publish.size(); ++k) {
     const bool slow =
-        shard_publish[k] != nullptr && counts[k] >= options_.min_samples &&
-        p99[k] > std::max(options_.min_p99_ms, options_.skew_ratio * median);
+        counts[k] >= kMinSamples &&
+        p99[k] > std::max(kMinP99Ms, options_.skew_ratio * median);
     if (slow && !slow_flagged_[k]) {
       std::ostringstream d;
       d << "shard " << k << " publish p99 " << p99[k]
         << " ms vs fleet median " << median << " ms (skew limit "
-        << options_.skew_ratio << "x, floor " << options_.min_p99_ms
-        << " ms)";
+        << options_.skew_ratio << "x, floor " << kMinP99Ms << " ms)";
       raise(&out, {WatchdogAlertKind::kSlowShard,
                    static_cast<std::int32_t>(k), now_ms, d.str()});
     }

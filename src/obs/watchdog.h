@@ -8,10 +8,10 @@
 //   * check() — per-shard publish-latency skew and stall-backlog growth.
 //     Each shard's p99 (read from its `fleet_shard_publish_ms` histogram
 //     via HistogramQuantile) is compared against the fleet-wide median
-//     p99; a shard past `skew_ratio` times the median (and past the
-//     `min_p99_ms` noise floor, with at least `min_samples` observations)
-//     is a slow-shard alert.  A stall backlog at or above `max_backlog`
-//     pending records is a backlog alert.
+//     p99; a shard past `skew_ratio` times the median (and past a 1 ms
+//     noise floor, with at least 16 observations) is a slow-shard alert.
+//     A stall backlog at or above `max_backlog` pending records is a
+//     backlog alert.
 //
 //   * audit() — digest/seq invariant sampling.  The fleet's bookkeeping
 //     says shard k must sit at `expected_seq`; a shard whose actual seq
@@ -50,16 +50,11 @@ struct WatchdogAlert {
 };
 
 struct WatchdogOptions {
-  // Slow-shard: alert when shard p99 > max(min_p99_ms, skew_ratio * median
-  // p99 across shards) with >= min_samples observations.
+  // Slow-shard: alert when shard p99 > max(1 ms, skew_ratio * median p99
+  // across shards) with >= 16 observations.
   double skew_ratio = 4.0;
-  double min_p99_ms = 1.0;
-  std::uint64_t min_samples = 16;
   // Stall backlog: alert at >= max_backlog queued records.
   std::size_t max_backlog = 64;
-  // Advisory audit cadence (the serve loop audits every audit_every fleet
-  // seqs); audit() itself runs whenever called.
-  std::uint64_t audit_every = 64;
 };
 
 // Quantile estimate from prometheus-style histogram state: `buckets` holds
@@ -85,7 +80,7 @@ class FleetWatchdog {
                          MetricsRegistry* metrics = nullptr);
 
   // Latency-skew + backlog detector.  `shard_publish[k]` is shard k's
-  // publish-latency histogram (null entries are skipped).
+  // publish-latency histogram; every entry is non-null.
   // Returns the alerts newly raised by this check.
   std::vector<WatchdogAlert> check(
       double now_ms, const std::vector<const Histogram*>& shard_publish,

@@ -32,7 +32,7 @@ ContentRouter::ContentRouter(const Graph& network, const Workload& wl,
   summaries_.reserve(tree_edges_.size() * 2);
   for (const EdgeId e : tree_edges_) {
     const Edge& edge = network.edge(e);
-    for (const auto [from, to] : {std::pair{edge.u, edge.v}, std::pair{edge.v, edge.u}}) {
+    for (const auto& [from, to] : {std::pair{edge.u, edge.v}, std::pair{edge.v, edge.u}}) {
       DirectedSummary s;
       s.from = from;
       s.to = to;

@@ -197,7 +197,8 @@ class BrokerFleet {
   std::uint64_t trace_recorded() const;  // summed across all rings
   std::uint64_t trace_dropped() const;
   // Per-shard publish-latency histograms (`fleet_shard_publish_ms`,
-  // kRuntime), indexed by shard — the FleetWatchdog::check input.
+  // kRuntime), indexed by shard and never null — the FleetWatchdog::check
+  // input.
   std::vector<const Histogram*> shard_publish_histograms() const;
   // Mutable shard access for fault-injection tests ONLY (e.g. forcing a
   // digest divergence the auditor must catch).  Mutating a shard outside

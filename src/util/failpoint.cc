@@ -5,6 +5,8 @@
 #include <map>
 #include <mutex>
 #include <stdexcept>
+#include <string_view>
+#include <utility>
 
 namespace pubsub {
 namespace {
@@ -25,6 +27,16 @@ FailAction ActionByName(const std::string& name, const std::string& entry) {
   if (name == "delay") return FailAction::kDelay;
   throw std::invalid_argument("failpoint '" + entry + "': unknown action '" +
                               name + "' (want off|error|crash|torn|delay)");
+}
+
+// True when `action` is one of the '|'-separated names in `actions`.
+bool Implements(std::string_view actions, std::string_view action) {
+  while (true) {
+    const std::size_t bar = actions.find('|');
+    if (actions.substr(0, bar) == action) return true;
+    if (bar == std::string_view::npos) return false;
+    actions.remove_prefix(bar + 1);
+  }
 }
 
 std::uint64_t ParseUnsigned(const std::string& tok, const std::string& entry) {
@@ -80,7 +92,9 @@ FailPoints& FailPoints::Instance() {
 }
 
 void FailPoints::configure(const std::string& spec) {
-  std::lock_guard<std::mutex> lock(impl_->mu);
+  // Parse and check every entry before touching the registry, so a spec
+  // that throws arms none of its entries.
+  std::vector<std::pair<std::string, Impl::Entry>> parsed;
   std::size_t start = 0;
   while (start <= spec.size()) {
     std::size_t end = spec.find_first_of(",;", start);
@@ -98,8 +112,10 @@ void FailPoints::configure(const std::string& spec) {
                                   "': want site=action[:arg][*count][^skip][+seq][@prob]");
     const std::string site = entry.substr(0, eq);
     const std::vector<FailPointSite>& known = KnownSites();
-    if (std::none_of(known.begin(), known.end(),
-                     [&site](const FailPointSite& k) { return site == k.name; }))
+    const auto known_site =
+        std::find_if(known.begin(), known.end(),
+                     [&site](const FailPointSite& k) { return site == k.name; });
+    if (known_site == known.end())
       throw std::invalid_argument("failpoint '" + entry + "': unknown site '" +
                                   site + "' (see docs/OPERATIONS.md)");
     std::string rest = entry.substr(eq + 1);
@@ -130,7 +146,14 @@ void FailPoints::configure(const std::string& spec) {
     if (!arg_tok.empty())
       e.arg = static_cast<std::size_t>(ParseUnsigned(arg_tok, entry));
     e.action = ActionByName(rest, entry);
+    if (e.action != FailAction::kOff && !Implements(known_site->actions, rest))
+      throw std::invalid_argument("failpoint '" + entry + "': site '" + site +
+                                  "' implements only " + known_site->actions);
+    parsed.emplace_back(site, e);
+  }
 
+  std::lock_guard<std::mutex> lock(impl_->mu);
+  for (const auto& [site, e] : parsed) {
     if (e.action == FailAction::kOff)
       impl_->entries.erase(site);
     else
@@ -208,17 +231,21 @@ const std::vector<FailPointSite>& FailPoints::KnownSites() {
   // docs/OPERATIONS.md the recovery behaviour at each site.
   static const std::vector<FailPointSite> sites = {
       {"broker.publish.post_journal",
-       "crash after the WAL append, before the state mutation"},
+       "crash after the WAL append, before the state mutation", "crash"},
       {"broker.publish.pre_journal",
-       "crash before the WAL append (command lost entirely)"},
+       "crash before the WAL append (command lost entirely)", "crash"},
       {"fleet.shard.publish",
        "delay = add ARG ms of synthetic publish latency on shard 0 (slow-"
-       "shard drill for the watchdog)"},
-      {"journal.flush", "journal fsync: error = flush failure"},
-      {"journal.write", "journal append: torn/short/crashed record write"},
-      {"recover.replay", "crash while replaying the journal tail"},
-      {"snapshot.flush", "snapshot fsync: error = flush failure"},
-      {"snapshot.write", "snapshot serialization: torn/crashed write"},
+       "shard drill for the watchdog)",
+       "delay"},
+      {"journal.flush", "journal fsync: error = flush failure", "error|crash"},
+      {"journal.write", "journal append: torn/short/crashed record write",
+       "error|crash|torn"},
+      {"recover.replay", "crash while replaying the journal tail", "crash"},
+      {"snapshot.flush", "snapshot fsync: error = flush failure",
+       "error|crash"},
+      {"snapshot.write", "snapshot serialization: torn/crashed write",
+       "error|crash|torn"},
   };
   return sites;
 }

@@ -21,6 +21,8 @@
 //                    InjectedCrash (torn tail: a crash mid-append)
 //           delay  — add ARG ms of synthetic latency at the site (SLO
 //                    drills: the fleet's slow-shard watchdog test)
+//           Each site implements only some of these (FailPointSite::
+//           actions); naming another one is an error, like an unknown site.
 //   ARG     non-negative integer parameter of the action (byte count, or
 //           milliseconds for delay)
 //   COUNT   fire at most COUNT times, then disarm (default: unlimited)
@@ -83,6 +85,9 @@ struct FailPointDecision {
 struct FailPointSite {
   const char* name;
   const char* description;
+  // The actions the site's seam implements, '|'-separated ("error|crash").
+  // `off` is always accepted.
+  const char* actions;
 };
 
 class FailPoints {
@@ -92,8 +97,9 @@ class FailPoints {
   static FailPoints& Instance();
 
   // Parse and arm `spec` (grammar above), merging over the current
-  // configuration.  A malformed entry, or one naming a site that is not in
-  // KnownSites(), throws std::invalid_argument.
+  // configuration.  A malformed entry, one naming a site that is not in
+  // KnownSites(), or one whose action the site does not implement throws
+  // std::invalid_argument and arms none of the spec's entries.
   void configure(const std::string& spec);
   // Arm from PUBSUB_FAILPOINTS / PUBSUB_FAILPOINTS_SEED if set.
   void configure_from_env();

@@ -164,76 +164,6 @@ TEST(Covering, ChurnContractErrors) {
   EXPECT_TRUE(t.check_invariants());
 }
 
-TEST(Covering, ExportImportRoundTripIsVerbatim) {
-  CoveringTable t;
-  Delta d;
-  t.subscribe(0, R2(0, 10, 0, 10), d);
-  t.subscribe(1, R2(1, 4, 1, 4), d);
-  t.subscribe(2, R2(0, 10, 0, 10), d);
-  t.subscribe(3, R2(20, 30, 20, 30), d);
-  t.unsubscribe(3, d);  // leaves a free-list slot
-  const CoveringTable::State state = t.export_state();
-
-  CoveringTable back;
-  back.import_state(state);
-  EXPECT_TRUE(back.check_invariants());
-  EXPECT_EQ(back.subscriber_count(), t.subscriber_count());
-  EXPECT_EQ(back.entry_count(), t.entry_count());
-  EXPECT_EQ(back.indexed_count(), t.indexed_count());
-  EXPECT_EQ(back.covered_subscriber_count(), t.covered_subscriber_count());
-  EXPECT_EQ(back.entry_of(0), t.entry_of(0));
-  EXPECT_EQ(back.entry_of(1), t.entry_of(1));
-  // Verbatim restore includes the free list: the next alloc re-issues the
-  // same id in both tables.
-  Delta da, db;
-  t.subscribe(7, R2(50, 60, 50, 60), da);
-  back.subscribe(7, R2(50, 60, 50, 60), db);
-  EXPECT_EQ(t.entry_of(7), back.entry_of(7));
-  const CoveringTable::State sa = t.export_state();
-  const CoveringTable::State sb = back.export_state();
-  ASSERT_EQ(sa.entries.size(), sb.entries.size());
-  for (std::size_t i = 0; i < sa.entries.size(); ++i) {
-    EXPECT_EQ(sa.entries[i].id, sb.entries[i].id);
-    EXPECT_EQ(sa.entries[i].rect, sb.entries[i].rect);
-    EXPECT_EQ(sa.entries[i].parent, sb.entries[i].parent);
-    EXPECT_EQ(sa.entries[i].subs, sb.entries[i].subs);
-    EXPECT_EQ(sa.entries[i].children, sb.entries[i].children);
-  }
-  EXPECT_EQ(sa.free_list, sb.free_list);
-}
-
-TEST(Covering, ImportRejectsStructuralCorruption) {
-  CoveringTable t;
-  Delta d;
-  t.subscribe(0, R2(0, 10, 0, 10), d);
-  t.subscribe(1, R2(1, 4, 1, 4), d);
-  const CoveringTable::State good = t.export_state();
-
-  CoveringTable sink;
-  {  // child not contained in its parent
-    CoveringTable::State bad = good;
-    for (CoveringEntryState& e : bad.entries)
-      if (e.parent >= 0) e.rect = R2(-5, -1, -5, -1);
-    EXPECT_THROW(sink.import_state(bad), std::invalid_argument);
-  }
-  {  // rider listed twice
-    CoveringTable::State bad = good;
-    bad.entries[0].subs.push_back(bad.entries[0].subs[0]);
-    EXPECT_THROW(sink.import_state(bad), std::invalid_argument);
-  }
-  {  // free list names a live entry
-    CoveringTable::State bad = good;
-    bad.free_list.push_back(bad.entries[0].id);
-    EXPECT_THROW(sink.import_state(bad), std::invalid_argument);
-  }
-  {  // dangling parent id
-    CoveringTable::State bad = good;
-    for (CoveringEntryState& e : bad.entries)
-      if (e.parent >= 0) e.parent = 41;
-    EXPECT_THROW(sink.import_state(bad), std::invalid_argument);
-  }
-}
-
 // --- randomized churn: delta stream keeps a SlabIndex exact ---------------
 // The pipeline under test is exactly the broker's: covering table in front,
 // slab index behind, every delta applied in order.  The oracle is the plain

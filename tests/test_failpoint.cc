@@ -96,6 +96,24 @@ TEST_F(FailPointTest, MalformedSpecsThrow) {
   EXPECT_THROW(fp().configure("replica.apply=crash"), std::invalid_argument);
   EXPECT_THROW(fp().configure("promote.journal_handoff=crash"),
                std::invalid_argument);
+  // An action the site's seam does not implement would run as a no-op or
+  // as a different fault; it is rejected like an unknown site.
+  for (const char* spec :
+       {"journal.flush=delay:50", "snapshot.write=delay:1",
+        "fleet.shard.publish=crash", "broker.publish.pre_journal=delay:5",
+        "recover.replay=error", "journal.flush=torn:3"})
+    EXPECT_THROW(fp().configure(spec), std::invalid_argument) << spec;
+  EXPECT_FALSE(fp().active());
+}
+
+TEST_F(FailPointTest, RejectedSpecArmsNothing) {
+  // The misspelt second entry rejects the whole spec, the valid first one
+  // included: a later, unrelated configure must not find it armed.
+  EXPECT_THROW(fp().configure("journal.flush=error,jornal.write=crash"),
+               std::invalid_argument);
+  EXPECT_EQ(fp().eval("journal.flush").action, FailAction::kOff);
+  fp().configure("snapshot.write=crash*1+1000");
+  EXPECT_EQ(fp().eval("journal.flush").action, FailAction::kOff);
 }
 
 TEST_F(FailPointTest, SeqGateKeepsSiteDormantUntilReported) {

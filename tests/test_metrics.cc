@@ -297,9 +297,7 @@ TEST(Watchdog, SlowShardAlertIsEdgeTriggered) {
     fast1->observe(0.5);
     slow->observe(90.0);
   }
-  WatchdogOptions opts;
-  opts.min_samples = 16;
-  FleetWatchdog dog(opts, &reg);
+  FleetWatchdog dog(WatchdogOptions{}, &reg);
   const std::vector<const Histogram*> hists = {fast0, fast1, slow};
 
   std::vector<WatchdogAlert> alerts = dog.check(1.0, hists, 0);
@@ -325,8 +323,8 @@ TEST(Watchdog, HealthyShardsStaySilent) {
     b->observe(0.6);
   }
   FleetWatchdog dog(WatchdogOptions{});
-  // Balanced latencies, small backlog, dead shard (null) skipped.
-  EXPECT_TRUE(dog.check(1.0, {a, b, nullptr}, 3).empty());
+  // Balanced latencies, small backlog.
+  EXPECT_TRUE(dog.check(1.0, {a, b}, 3).empty());
   EXPECT_TRUE(dog.alerts().empty());
 }
 

@@ -213,22 +213,6 @@ BrokerSnapshot MakeBrokerSnapshot() {
         &snap.stats.journal_flush_failures, &snap.stats.journal_flush_retries,
         &snap.stats.degraded_entries, &snap.stats.mutations_rejected})
     *field = n++;  // every counter distinct: field-order bugs can't cancel
-  // Covering image: an indexed parent with a covered child and a free slot,
-  // with rider/child lists in deliberately non-sorted order — the format
-  // must preserve them verbatim.
-  CoveringEntryState parent;
-  parent.id = 0;
-  parent.rect = Rect({Interval(0.5, 7.25), Interval::AtMost(4.0)});
-  parent.parent = -1;
-  parent.subs = {3, 0};
-  parent.children = {1};
-  CoveringEntryState child;
-  child.id = 1;
-  child.rect = Rect({Interval(1.0, 2.0), Interval(1.5, 3.5)});
-  child.parent = 0;
-  child.subs = {2};
-  snap.covering.entries = {parent, child};
-  snap.covering.free_list = {2};
   return snap;
 }
 
@@ -250,17 +234,6 @@ TEST(Serialize, BrokerSnapshotRoundTrip) {
     EXPECT_EQ(back.workload.subscribers[i].interest,
               snap.workload.subscribers[i].interest);
   }
-  ASSERT_EQ(back.covering.entries.size(), snap.covering.entries.size());
-  for (std::size_t i = 0; i < snap.covering.entries.size(); ++i) {
-    EXPECT_EQ(back.covering.entries[i].id, snap.covering.entries[i].id);
-    EXPECT_EQ(back.covering.entries[i].rect, snap.covering.entries[i].rect);
-    EXPECT_EQ(back.covering.entries[i].parent,
-              snap.covering.entries[i].parent);
-    EXPECT_EQ(back.covering.entries[i].subs, snap.covering.entries[i].subs);
-    EXPECT_EQ(back.covering.entries[i].children,
-              snap.covering.entries[i].children);
-  }
-  EXPECT_EQ(back.covering.free_list, snap.covering.free_list);
 }
 
 TEST(Serialize, BrokerSnapshotRejectsVersionSkewAndDamage) {
@@ -270,9 +243,10 @@ TEST(Serialize, BrokerSnapshotRejectsVersionSkewAndDamage) {
   EXPECT_EQ(ErrorOf(ReadBrokerSnapshot, full), "");
 
   // Any other format version fails as a bad header, not mis-parsed: a
-  // future one, and the pre-checksum v1-v3 formats no reader accepts.
-  const std::string header = "pubsub-broker-snapshot v4";
-  for (const std::string version : {"v1", "v2", "v3", "v5"}) {
+  // future one, the pre-checksum v1-v3 formats, and v4, which also stored
+  // the covering table.
+  const std::string header = "pubsub-broker-snapshot v5";
+  for (const std::string version : {"v1", "v2", "v3", "v4", "v6"}) {
     std::string skewed = full;
     skewed.replace(skewed.find(header), header.size(),
                    "pubsub-broker-snapshot " + version);
@@ -326,36 +300,6 @@ TEST(Serialize, BrokerSnapshotRejectsVersionSkewAndDamage) {
             std::string::npos);
   EXPECT_NE(ErrorOf(ReadBrokerSnapshot, full.substr(0, full.size() - 1))
                 .find("unterminated"),
-            std::string::npos);
-}
-
-TEST(Serialize, BrokerSnapshotRejectsDamagedCovering) {
-  std::ostringstream os;
-  WriteBrokerSnapshot(os, MakeBrokerSnapshot());
-  const std::string full = os.str();
-
-  // Wrong covering magic/version.
-  std::string skewed = full;
-  skewed.replace(skewed.find("pubsub-covering v1"),
-                 std::string("pubsub-covering v1").size(),
-                 "pubsub-covering v2");
-  EXPECT_NE(ErrorOf(ReadBrokerSnapshot, Reseal(skewed))
-                .find("expected 'pubsub-covering v1'"),
-            std::string::npos);
-
-  // A negative rider id inside an entry record is rejected.
-  std::string negative = full;
-  const std::size_t entry_pos = negative.find("entry 0");
-  const std::size_t subs_pos = negative.find('\n', entry_pos) + 1;
-  negative.replace(subs_pos, 1, "-3");  // first rider line ("3" -> "-3")
-  EXPECT_NE(ErrorOf(ReadBrokerSnapshot, Reseal(negative))
-                .find("negative subscriber id"),
-            std::string::npos);
-
-  // Truncation inside the covering section is rejected.
-  const std::string truncated = full.substr(0, full.find("entry 1"));
-  EXPECT_NE(ErrorOf(ReadBrokerSnapshot, Reseal(truncated))
-                .find("unexpected end of file"),
             std::string::npos);
 }
 

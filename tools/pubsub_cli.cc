@@ -525,7 +525,6 @@ int Serve(const Flags& flags) {
   WatchdogOptions wopts;
   wopts.skew_ratio = flags.get_double("slo-skew", 4.0);
   wopts.max_backlog = flags.get_count("slo-backlog", 64);
-  wopts.audit_every = audit_every;
   if (resume && base.empty()) Usage("--resume requires --base");
   if (heal_every <= 0.0) Usage("--heal-every-ms must be positive");
   if (watch_every < 0.0) Usage("--watch-every-ms must be >= 0");
