@@ -12,10 +12,10 @@
 // Two measurements:
 //   1. A --subs_list sweep (default 10k / 100k / 1M) timing random updates
 //      at each population.  The per-op latency column should be flat.
-//   2. At --subs, the same update stream applied two ways: incremental
-//      slab maintenance (the delta path) vs a full from-scratch index
-//      rebuild after every op (what shipping without the tentpole would
-//      cost).  --require_incremental_speedup=X gates the ratio (CTest
+//   2. At --subs, the same update stream applied two ways: the table's
+//      incremental slab maintenance vs a full from-scratch index rebuild
+//      after every op (what shipping without incremental maintenance
+//      would cost).  --require_incremental_speedup=X gates the ratio (CTest
 //      ChurnPerfSmoke; exit 77 = skip when the rebuild baseline is too
 //      fast to time reliably, e.g. a tiny --distinct).
 //
@@ -58,32 +58,11 @@ std::vector<Rect> MakePool(std::size_t distinct, int dims,
   return pool;
 }
 
-struct ChurnSystem {
-  CoveringTable table;
-  SlabIndex slab;
-  CoveringTable::Delta delta;
-
-  void apply_delta() {
-    for (const CoveringTable::IndexOp& op : delta) {
-      if (op.kind == CoveringTable::IndexOp::kAdd)
-        slab.insert(op.rect, op.entry);
-      else
-        slab.erase(op.entry);
-    }
-  }
-
-  void subscribe(SubscriberId s, const Rect& r) {
-    delta.clear();
-    table.subscribe(s, r, delta);
-    apply_delta();
-  }
-
-  void update(SubscriberId s, const Rect& r) {
-    delta.clear();
-    table.update(s, r, delta);
-    apply_delta();
-  }
-};
+void SubscribeAll(CoveringTable& table, const std::vector<Rect>& pool,
+                  std::size_t subs) {
+  for (std::size_t s = 0; s < subs; ++s)
+    table.subscribe(static_cast<SubscriberId>(s), pool[s % pool.size()]);
+}
 
 struct SweepRow {
   std::size_t subs = 0;
@@ -95,10 +74,9 @@ struct SweepRow {
 
 SweepRow RunPopulation(const std::vector<Rect>& pool, std::size_t subs,
                        std::size_t updates, std::uint64_t seed) {
-  ChurnSystem sys;
+  CoveringTable table;
   StopwatchClock build_watch;
-  for (std::size_t s = 0; s < subs; ++s)
-    sys.subscribe(static_cast<SubscriberId>(s), pool[s % pool.size()]);
+  SubscribeAll(table, pool, subs);
 
   SweepRow row;
   row.subs = subs;
@@ -108,29 +86,35 @@ SweepRow RunPopulation(const std::vector<Rect>& pool, std::size_t subs,
   StopwatchClock watch;
   for (std::size_t u = 0; u < updates; ++u) {
     const SubscriberId s = static_cast<SubscriberId>(rng() % subs);
-    sys.update(s, pool[rng() % pool.size()]);
+    table.update(s, pool[rng() % pool.size()]);
   }
   row.update_ns = watch.elapsed_seconds() * 1e9 / static_cast<double>(updates);
-  row.entries = sys.table.entry_count();
-  row.indexed = sys.table.indexed_count();
+  row.entries = table.entry_count();
+  row.indexed = table.indexed_count();
   return row;
 }
 
-// Per-op cost of the from-scratch alternative: every update rebuilds the
-// slab index from the covering table's indexed image.
+// Per-op cost of the from-scratch alternative: every update is followed by
+// a bulk build of a fresh slab index over the table's indexed set, read
+// from the resident ids and rectangles of the table's own index.
 double RebuildBaselineNs(const std::vector<Rect>& pool, std::size_t subs,
                          std::size_t ops, std::uint64_t seed) {
-  ChurnSystem sys;
-  for (std::size_t s = 0; s < subs; ++s)
-    sys.subscribe(static_cast<SubscriberId>(s), pool[s % pool.size()]);
+  CoveringTable table;
+  SubscribeAll(table, pool, subs);
   std::mt19937_64 rng(seed);
+  std::vector<std::pair<Rect, int>> items;
+  SlabIndex rebuilt;
   StopwatchClock watch;
   for (std::size_t u = 0; u < ops; ++u) {
     const SubscriberId s = static_cast<SubscriberId>(rng() % subs);
-    sys.delta.clear();
-    sys.table.update(s, pool[rng() % pool.size()], sys.delta);
-    sys.slab = SlabIndex(sys.table.indexed_entries(),
-                         sys.table.entry_capacity());
+    table.update(s, pool[rng() % pool.size()]);
+    const SlabIndex& index = table.index();
+    items.clear();
+    for (std::size_t id = 0; id < index.universe(); ++id)
+      if (index.contains(static_cast<int>(id)))
+        items.emplace_back(index.rect_of(static_cast<int>(id)),
+                           static_cast<int>(id));
+    rebuilt = SlabIndex(items, index.universe());
   }
   return watch.elapsed_seconds() * 1e9 / static_cast<double>(ops);
 }

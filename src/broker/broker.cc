@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <iterator>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -24,7 +23,7 @@ Broker::Broker(Workload initial, const PublicationModel& pub,
   init_obs(options);
   mgr_ = std::make_unique<GroupManager>(std::move(initial), pub, options_.group);
   runtime_ =
-      std::make_unique<DeliveryRuntime>(network, options_.runtime, metrics_);
+      std::make_unique<DeliveryRuntime>(network, RuntimeParams{}, metrics_);
   if (clock == nullptr) {
     owned_clock_ = std::make_unique<ManualClock>();
     clock = owned_clock_.get();
@@ -55,7 +54,7 @@ Broker::Broker(RestoreTag, const BrokerSnapshot& snapshot,
       snapshot.workload, pub, options_.group, snapshot.assignment,
       static_cast<std::size_t>(snapshot.churn_since_full_build));
   runtime_ =
-      std::make_unique<DeliveryRuntime>(network, options_.runtime, metrics_);
+      std::make_unique<DeliveryRuntime>(network, RuntimeParams{}, metrics_);
   runtime_->restore_queue_state(snapshot.queue_state);
   if (clock == nullptr) {
     owned_clock_ = std::make_unique<ManualClock>();
@@ -263,10 +262,11 @@ void Broker::update_derived_gauges() {
   Set(g_covering_indexed_, static_cast<double>(covering_.indexed_count()));
   Set(g_covered_subscribers_,
       static_cast<double>(covering_.covered_subscriber_count()));
-  Set(g_slab_endpoints_, static_cast<double>(slab_.endpoint_count()));
-  Set(g_slab_dead_endpoints_, static_cast<double>(slab_.dead_endpoints()));
-  Set(g_slab_rebuilds_, static_cast<double>(slab_.rebuilds()));
-  Set(g_slab_splices_, static_cast<double>(slab_.spliced_endpoints()));
+  const SlabIndex& slab = covering_.index();
+  Set(g_slab_endpoints_, static_cast<double>(slab.endpoint_count()));
+  Set(g_slab_dead_endpoints_, static_cast<double>(slab.dead_endpoints()));
+  Set(g_slab_rebuilds_, static_cast<double>(slab.rebuilds()));
+  Set(g_slab_splices_, static_cast<double>(slab.spliced_endpoints()));
   const std::uint64_t emitted = policy_.window_emitted();
   Set(g_window_waste_ratio_,
       emitted == 0 ? 0.0
@@ -281,25 +281,22 @@ void Broker::update_derived_gauges() {
                                       static_cast<double>(msgs));
 }
 
-// Bulk-load the covering table from the subscription table (ascending
-// subscriber order) and derive the slab index from it.  A fresh broker and
-// a recovered one both build their index here.  The layout can differ from
-// that of a live broker which reached the same table through churn, but no
-// output depends on it (core/covering.h).  Tombstoned and out-of-domain
-// interests clip to empty and stay unindexed.
+// Subscribe the subscription table into a fresh covering table, in
+// ascending subscriber order.  A fresh broker and a recovered one both
+// build their index here.  The layout can differ from that of a live
+// broker which reached the same table through churn, but no output depends
+// on it (core/covering.h).  Tombstoned and out-of-domain interests clip to
+// empty and stay unindexed.
 void Broker::bootstrap_index() {
   covering_ = CoveringTable();
   const Rect domain = mgr_->workload().space.domain_rect();
   const std::size_t n = mgr_->workload().num_subscribers();
-  delta_.clear();
   for (std::size_t i = 0; i < n; ++i) {
     const Rect clipped =
         mgr_->workload().subscribers[i].interest.intersection(domain);
     if (clipped.empty()) continue;
-    covering_.subscribe(static_cast<SubscriberId>(i), clipped, delta_);
+    covering_.subscribe(static_cast<SubscriberId>(i), clipped);
   }
-  delta_.clear();  // the bulk build below supersedes the incremental ops
-  slab_ = SlabIndex(covering_.indexed_entries(), covering_.entry_capacity());
 }
 
 std::unique_ptr<Broker> Broker::Recover(const BrokerSnapshot& snapshot,
@@ -771,26 +768,6 @@ std::uint64_t Broker::write_snapshot(std::ostream& os) const {
   return text.size();
 }
 
-Broker::MatchOutcome Broker::match(const Point& event) const {
-  // Cold read path: returns owning vectors (callers hold results across
-  // later commands), built from the same scratch kernels as apply_publish.
-  MatchOutcome out;
-  const std::vector<SubscriberId> inter = interested(event);
-  out.interested = inter.size();
-  MatchDecision d = mgr_->matcher().match(event, inter);
-  if (d.group_id >= 0) {
-    out.group_id = d.group_id;
-    out.group_size = d.group_members.size();
-    std::set_difference(inter.begin(), inter.end(), d.group_members.begin(),
-                        d.group_members.end(),
-                        std::back_inserter(out.unicast_targets));
-  } else {
-    out.unicast_targets.assign(d.unicast_targets.begin(),
-                               d.unicast_targets.end());
-  }
-  return out;
-}
-
 std::vector<SubscriberId> Broker::interested(const Point& event) const {
   const std::span<const SubscriberId> s = interested_into(event, scratch_);
   scratch_.clear_words();
@@ -800,10 +777,10 @@ std::vector<SubscriberId> Broker::interested(const Point& event) const {
 std::span<const SubscriberId> Broker::interested_into(const Point& event,
                                                       MatchScratch& s) const {
   s.stab_hits.clear();
-  slab_.stab(event, s.stab_hits, s.entry_words);
+  covering_.stab(event, s.stab_hits, s.entry_words);
   s.interested.clear();
   if (s.stab_hits.empty()) return s.interested;
-  // The slab stab yields *covering entries* (maximal distinct rectangles);
+  // The stab yields *covering entries* (maximal distinct rectangles);
   // expand each into its riders plus the riders of covered children whose
   // rectangle point-tests true.  The expansion order reflects covering
   // topology — which depends on churn history, and differs between a live
@@ -855,41 +832,24 @@ void Broker::index_insert(SubscriberId id, const Rect& interest) {
   const Rect clipped =
       interest.intersection(mgr_->workload().space.domain_rect());
   if (clipped.empty()) return;  // never matches an in-domain event
-  delta_.clear();
-  covering_.subscribe(id, clipped, delta_);
-  apply_index_delta();
+  covering_.subscribe(id, clipped);
 }
 
 void Broker::index_erase(SubscriberId id) {
   if (!covering_.contains(id)) return;  // tombstoned or out-of-domain
-  delta_.clear();
-  covering_.unsubscribe(id, delta_);
-  apply_index_delta();
+  covering_.unsubscribe(id);
 }
 
 void Broker::index_update(SubscriberId id, const Rect& interest) {
   const Rect clipped =
       interest.intersection(mgr_->workload().space.domain_rect());
-  delta_.clear();
   if (covering_.contains(id)) {
     if (clipped.empty())
-      covering_.unsubscribe(id, delta_);
+      covering_.unsubscribe(id);
     else
-      covering_.update(id, clipped, delta_);  // no-op when rect unchanged
+      covering_.update(id, clipped);  // no-op when rect unchanged
   } else if (!clipped.empty()) {
-    covering_.subscribe(id, clipped, delta_);
-  }
-  apply_index_delta();
-}
-
-// Replay the covering table's index ops against the slab index, strictly
-// in order (one churn command can add then remove the same entry id).
-void Broker::apply_index_delta() {
-  for (const CoveringTable::IndexOp& op : delta_) {
-    if (op.kind == CoveringTable::IndexOp::kAdd)
-      slab_.insert(op.rect, op.entry);
-    else
-      slab_.erase(op.entry);
+    covering_.subscribe(id, clipped);
   }
 }
 

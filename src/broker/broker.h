@@ -26,9 +26,9 @@
 // nothing in the command path draws randomness (clustering warm starts are
 // deterministic; drivers that want stochastic churn seed their own Rng and
 // the resulting commands are journaled).  The live subscription index is a
-// covering table (core/covering.h) over an incrementally maintained slab
-// index (index/slab_index.h); stab results are emitted in ascending order
-// by a counting sort, so interested sets do not depend on index history.
+// covering table (core/covering.h), which owns the slab index it splices
+// under churn; stab results are emitted in ascending order by a counting
+// sort, so interested sets do not depend on index history.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +44,6 @@
 #include "core/covering.h"
 #include "core/group_manager.h"
 #include "core/match_scratch.h"
-#include "index/slab_index.h"
 #include "io/file.h"
 #include "io/string_stream.h"
 #include "obs/clock.h"
@@ -87,10 +86,10 @@ struct BrokerObsOptions {
 inline constexpr std::size_t kJournalFlushRetries = 4;
 inline constexpr double kJournalBackoffBaseMs = 1.0;
 
+// Delivery timing uses the default RuntimeParams.
 struct BrokerOptions {
   GroupManagerOptions group;
   RefreshPolicyOptions refresh;
-  RuntimeParams runtime;
   BrokerObsOptions obs;
 };
 
@@ -183,25 +182,15 @@ class Broker {
   const Workload& workload() const { return mgr_->workload(); }
   double last_command_time_ms() const { return last_time_ms_; }
 
-  // Exact interested set for an event against the live table (sorted).
+  // Exact interested set for an event against the live table (sorted);
+  // no journaling, no delivery-timing mutation and no refresh — the lookup
+  // path degraded mode keeps serving.
   std::vector<SubscriberId> interested(const Point& event) const;
-
-  // Read-only match decision: the group (if any) plus the unicast
-  // completion the broker *would* use for this event, with no journaling,
-  // no delivery-timing mutation and no refresh — the lookup path degraded
-  // mode keeps serving.
-  struct MatchOutcome {
-    int group_id = -1;  // -1 = pure unicast
-    std::size_t group_size = 0;
-    std::vector<SubscriberId> unicast_targets;  // sorted ascending
-    std::size_t interested = 0;
-  };
-  MatchOutcome match(const Point& event) const;
 
   // --- degraded mode ----------------------------------------------------
   // True once a journal append exhausted its retry budget: mutations
   // (subscribe/unsubscribe/update/publish/apply) throw BrokerDegradedError,
-  // reads (interested/match/stats/snapshot) keep serving.
+  // reads (interested/stats/snapshot) keep serving.
   bool degraded() const { return degraded_; }
   // Probe the journal sink again (operator action after fixing storage).
   // Returns true — and re-enables mutations — iff the interrupted append
@@ -271,7 +260,6 @@ class Broker {
   void index_insert(SubscriberId id, const Rect& interest);
   void index_erase(SubscriberId id);
   void index_update(SubscriberId id, const Rect& interest);
-  void apply_index_delta();
   // Sorted interested set for `event`, emitted into `s.interested` via a
   // word-level counting sort over `s.words`; the interested bits (and
   // s.word_lo/word_hi) are left set for the completion kernel — the caller
@@ -295,12 +283,10 @@ class Broker {
 
   // Live subscription index over domain-clipped interests (DESIGN.md §10):
   // the covering table dedups equal interests and nests contained ones, so
-  // the slab index holds one entry per *maximal distinct rectangle* —
+  // its slab index holds one entry per *maximal distinct rectangle* —
   // matcher state grows with distinct interest, not subscriber count, and
   // churn on a known rectangle never touches the index.
   CoveringTable covering_;
-  SlabIndex slab_;
-  CoveringTable::Delta delta_;  // reused per churn command
 
   // Journal sink: either caller-supplied or an owned StreamSink wrapper
   // around the std::ostream passed to set_journal.
@@ -322,7 +308,7 @@ class Broker {
   // stab hits, interested set, completion targets, node lists, latencies,
   // serialized journal bytes, the local publish record — is reused across
   // commands, so steady-state publish performs zero heap allocations.
-  // mutable: the read paths (interested/match) share the same scratch.
+  // mutable: the read path (interested) shares the same scratch.
   mutable MatchScratch scratch_;
   StringStream journal_stream_;
   JournalRecord publish_rec_;

@@ -14,8 +14,7 @@ bool RectLess::operator()(const Rect& a, const Rect& b) const {
   return false;
 }
 
-void CoveringTable::subscribe(SubscriberId sub, const Rect& rect,
-                              Delta& delta) {
+void CoveringTable::subscribe(SubscriberId sub, const Rect& rect) {
   if (sub < 0)
     throw std::invalid_argument("CoveringTable: negative subscriber id");
   if (contains(sub))
@@ -30,7 +29,7 @@ void CoveringTable::subscribe(SubscriberId sub, const Rect& rect,
   } else {
     e = alloc_entry(rect);
     by_rect_.emplace(rect, e);
-    place_entry(e, delta);
+    place_entry(e);
   }
   Entry& entry = entries_[static_cast<std::size_t>(e)];
   if (entry_of_.size() <= static_cast<std::size_t>(sub)) {
@@ -45,7 +44,7 @@ void CoveringTable::subscribe(SubscriberId sub, const Rect& rect,
   if (entry.parent >= 0) ++covered_subs_;
 }
 
-void CoveringTable::unsubscribe(SubscriberId sub, Delta& delta) {
+void CoveringTable::unsubscribe(SubscriberId sub) {
   if (!contains(sub))
     throw std::out_of_range("CoveringTable: unknown subscriber");
   const EntryId e = entry_of_[static_cast<std::size_t>(sub)];
@@ -66,41 +65,36 @@ void CoveringTable::unsubscribe(SubscriberId sub, Delta& delta) {
     return;
   }
 
-  // Indexed entry dies: drop it from the backing index, then re-home its
-  // children in ascending id order — each attaches to the smallest-id
-  // remaining coverer or is promoted (demoting any siblings it covers).
+  // Indexed entry dies: drop it from the index, then re-home its children
+  // in ascending id order — each attaches to the smallest-id remaining
+  // coverer or is promoted (demoting any siblings it covers).
   indexed_.erase(e);
-  rtree_.erase(entry.rect, e);
-  delta.push_back({IndexOp::kRemove, e, Rect()});
+  index_.erase(e);
   std::vector<EntryId> kids = std::move(entry.children);
   entry.children.clear();
   std::sort(kids.begin(), kids.end());
   for (const EntryId c : kids) {
     Entry& child = entries_[static_cast<std::size_t>(c)];
-    coverers_.clear();
-    rtree_.containing(child.rect, coverers_);
-    EntryId best = -1;
-    for (const int id : coverers_)
-      if (best < 0 || id < best) best = id;
+    const EntryId best = min_coverer(child.rect);
     if (best >= 0) {
       child.parent = best;
       entries_[static_cast<std::size_t>(best)].children.push_back(c);
     } else {
       covered_subs_ -= child.subs.size();
-      make_indexed(c, delta);
+      make_indexed(c);
     }
   }
   free_entry(e);
 }
 
-void CoveringTable::update(SubscriberId sub, const Rect& rect, Delta& delta) {
+void CoveringTable::update(SubscriberId sub, const Rect& rect) {
   if (!contains(sub))
     throw std::out_of_range("CoveringTable: unknown subscriber");
   if (entries_[static_cast<std::size_t>(entry_of_[static_cast<std::size_t>(
           sub)])].rect == rect)
     return;  // unchanged interest: no churn
-  unsubscribe(sub, delta);
-  subscribe(sub, rect, delta);
+  unsubscribe(sub);
+  subscribe(sub, rect);
 }
 
 void CoveringTable::expand(EntryId e, const Point& p,
@@ -145,45 +139,50 @@ void CoveringTable::free_entry(EntryId e) {
   if (entry_live_ == 0) ndims_ = 0;  // an emptied table may adopt new dims
 }
 
-void CoveringTable::place_entry(EntryId e, Delta& delta) {
+// Every coverer contains rect's upper corner, and the stab emits ascending
+// ids, so the first hit that contains the whole rectangle is the min-id
+// coverer — a canonical choice independent of the index's layout.
+CoveringTable::EntryId CoveringTable::min_coverer(const Rect& rect) {
+  corner_.clear();
+  for (const Interval& iv : rect.intervals()) corner_.push_back(iv.hi());
+  index_.stab(corner_, hits_, words_);
+  for (const int id : hits_)
+    if (entries_[static_cast<std::size_t>(id)].rect.contains(rect)) return id;
+  return -1;
+}
+
+void CoveringTable::place_entry(EntryId e) {
   Entry& entry = entries_[static_cast<std::size_t>(e)];
-  coverers_.clear();
-  rtree_.containing(entry.rect, coverers_);
-  EntryId best = -1;  // min-id canonical coverer, independent of tree order
-  for (const int id : coverers_)
-    if (best < 0 || id < best) best = id;
+  const EntryId best = min_coverer(entry.rect);
   if (best >= 0) {
     entry.parent = best;
     entries_[static_cast<std::size_t>(best)].children.push_back(e);
   } else {
-    make_indexed(e, delta);
+    make_indexed(e);
   }
 }
 
-void CoveringTable::make_indexed(EntryId e, Delta& delta) {
+void CoveringTable::make_indexed(EntryId e) {
   Entry& entry = entries_[static_cast<std::size_t>(e)];
   entry.parent = -1;
   indexed_.insert(e);
-  rtree_.insert(entry.rect, e);
-  delta.push_back({IndexOp::kAdd, e, entry.rect});
-  // Demote every indexed entry the new rectangle covers — keeps the
-  // indexed set exactly the maximal rectangles under containment.
-  std::vector<int> overlap;
-  rtree_.intersecting(entry.rect, overlap);
-  std::sort(overlap.begin(), overlap.end());
-  for (const int o : overlap) {
-    if (o == e) continue;
-    if (entry.rect.contains(entries_[static_cast<std::size_t>(o)].rect))
-      demote(o, e, delta);
+  index_.insert(entry.rect, e);
+  // Demote, in ascending id order, every indexed entry the new rectangle
+  // covers — keeps the indexed set exactly the maximal rectangles under
+  // containment.  demote() erases only the entry just passed.
+  for (auto it = indexed_.begin(); it != indexed_.end();) {
+    const EntryId o = *it++;
+    if (o != e &&
+        entry.rect.contains(entries_[static_cast<std::size_t>(o)].rect))
+      demote(o, e);
   }
 }
 
-void CoveringTable::demote(EntryId o, EntryId parent, Delta& delta) {
+void CoveringTable::demote(EntryId o, EntryId parent) {
   Entry& od = entries_[static_cast<std::size_t>(o)];
   Entry& pd = entries_[static_cast<std::size_t>(parent)];
   indexed_.erase(o);
-  rtree_.erase(od.rect, o);
-  delta.push_back({IndexOp::kRemove, o, Rect()});
+  index_.erase(o);
   od.parent = parent;
   pd.children.push_back(o);
   covered_subs_ += od.subs.size();
@@ -207,14 +206,6 @@ void CoveringTable::detach_rider(SubscriberId sub) {
   entry_of_[static_cast<std::size_t>(sub)] = -1;
 }
 
-std::vector<std::pair<Rect, int>> CoveringTable::indexed_entries() const {
-  std::vector<std::pair<Rect, int>> out;
-  out.reserve(indexed_.size());
-  for (const EntryId e : indexed_)  // std::set iterates ascending
-    out.emplace_back(entries_[static_cast<std::size_t>(e)].rect, e);
-  return out;
-}
-
 bool CoveringTable::check_invariants() const {
   std::size_t subs = 0;
   std::size_t covered = 0;
@@ -236,7 +227,8 @@ bool CoveringTable::check_invariants() const {
       if (!par.rect.contains(entry.rect)) return false;
       if (!entry.children.empty()) return false;
       if (indexed_.count(id) != 0) return false;
-    } else if (indexed_.count(id) == 0) {
+    } else if (indexed_.count(id) == 0 || !index_.contains(id) ||
+               index_.rect_of(id) != entry.rect) {
       return false;
     }
     for (const SubscriberId s : entry.subs) {
@@ -248,7 +240,7 @@ bool CoveringTable::check_invariants() const {
   if (live != entry_live_ || subs != sub_count_ || covered != covered_subs_)
     return false;
   if (live + free_.size() != entries_.size()) return false;
-  if (indexed_.size() != rtree_.size()) return false;
+  if (indexed_.size() != index_.size()) return false;
   // Maximality: no indexed entry's rectangle contains another's.
   for (const EntryId a : indexed_)
     for (const EntryId b : indexed_)

@@ -4,16 +4,15 @@
 // not with the subscriber population (arXiv 1811.07088): a workload where a
 // million subscribers share a few thousand interest rectangles needs a few
 // thousand index entries, and a subscription whose rectangle lies inside an
-// already-indexed one needs none at all.  The CoveringTable sits between
-// the broker's churn path and the backing SlabIndex and enforces exactly
-// that:
+// already-indexed one needs none at all.  The CoveringTable owns the
+// SlabIndex the broker stabs, and decides alone what goes into it:
 //
 //   * Equal rectangles dedup onto one entry with a subscriber refcount —
-//     churn on a known rectangle never touches the backing index.
+//     churn on a known rectangle never touches the index.
 //   * A new entry whose rectangle is contained in an indexed entry's
 //     rectangle becomes a *covered child* of that entry (the coverer with
 //     the smallest entry id, a canonical choice independent of lookup
-//     order).  Children are never put in the backing index.
+//     order).  Children are never put in the index.
 //   * Otherwise the entry is indexed, and any indexed entries its rectangle
 //     strictly contains are demoted to children.  The indexed set is
 //     therefore always exactly the maximal rectangles under containment —
@@ -24,27 +23,30 @@
 //     in ascending entry-id order: each attaches to a remaining coverer or
 //     is promoted (with demotion of any siblings it contains).
 //
+// The index serves the table's own lookups too.  Every coverer of a
+// rectangle contains its upper corner (intervals are (lo, hi]), and a stab
+// emits ascending ids, so the first hit at that corner whose rectangle
+// contains the new one is the min-id coverer.  Demotion candidates come
+// from an ascending scan of the indexed set, which holds only the maximal
+// rectangles.
+//
 // Matching stays exact because of the two-level invariant — every covered
 // child's rectangle is contained in its indexed parent's rectangle.  A
-// point stab of the backing index over indexed entries therefore reaches
-// every entry that could contain the point; expand() turns one indexed hit
-// into subscribers by taking the entry's own riders plus the riders of each
-// child whose rectangle point-tests true.  Emission order is canonicalized
-// downstream (the broker's counting-sort scatter), so the table's
-// history-dependent internals never reach an observable output.
-//
-// Mutations report the backing-index work as an ordered op list (Delta);
-// ops MUST be applied in sequence — one churn call can add and then remove
-// the same entry id (promote-then-demote during re-homing), and update()
-// can retire an id and re-issue it (LIFO reuse) in a single delta.
+// point stab() over indexed entries therefore reaches every entry that
+// could contain the point; expand() turns one indexed hit into subscribers
+// by taking the entry's own riders plus the riders of each child whose
+// rectangle point-tests true.  Emission order is canonicalized downstream
+// (the broker's counting-sort scatter), so the table's history-dependent
+// internals never reach an observable output.
 //
 // Determinism: every tie is broken canonically (min-id coverer, ascending
 // re-home, LIFO id reuse, swap-pop rider removal), so the full table state
 // is a pure function of the churn-command stream, and two brokers fed the
-// same stream hold the same table.  Entry ids and rider order are never
-// observable: a broker recovered from a snapshot rebuilds its table from
-// the subscription table, with a different layout but the same rectangle
-// set, hence the same indexed set and matches (DESIGN.md §10).
+// same stream hold the same table.  Entry ids, rider order and the index's
+// endpoint layout are never observable as matches: a broker recovered from
+// a snapshot rebuilds its table from the subscription table, with a
+// different layout but the same rectangle set, hence the same indexed set
+// and matches (DESIGN.md §10).
 #pragma once
 
 #include <cstddef>
@@ -54,7 +56,7 @@
 #include <vector>
 
 #include "geometry/rect.h"
-#include "index/rtree.h"
+#include "index/slab_index.h"
 #include "workload/types.h"
 
 namespace pubsub {
@@ -68,39 +70,32 @@ class CoveringTable {
  public:
   using EntryId = int;
 
-  // One backing-index mutation.  `rect` is meaningful for kAdd only.
-  struct IndexOp {
-    enum Kind { kAdd, kRemove };
-    Kind kind;
-    EntryId entry;
-    Rect rect;
-  };
-  // Ordered op list — apply strictly in sequence (see header comment).
-  using Delta = std::vector<IndexOp>;
-
   // --- churn ------------------------------------------------------------
   // Register `sub` with interest `rect` (non-empty, finite — the broker
-  // clips to the event-space domain first).  Appends backing-index ops to
-  // `delta`.  Throws std::invalid_argument on a duplicate subscriber, an
-  // empty rectangle, or mixed dimensionality.
-  void subscribe(SubscriberId sub, const Rect& rect, Delta& delta);
+  // clips to the event-space domain first).  Throws std::invalid_argument
+  // on a duplicate subscriber, an empty rectangle, or mixed
+  // dimensionality.
+  void subscribe(SubscriberId sub, const Rect& rect);
   // Remove `sub`.  Throws std::out_of_range if unknown (mirrors
   // GroupManager's churn contract).
-  void unsubscribe(SubscriberId sub, Delta& delta);
-  // Replace `sub`'s interest.  No-op (and no delta) when the rectangle is
-  // unchanged; otherwise equivalent to unsubscribe + subscribe.
-  void update(SubscriberId sub, const Rect& rect, Delta& delta);
+  void unsubscribe(SubscriberId sub);
+  // Replace `sub`'s interest.  No-op when the rectangle is unchanged;
+  // otherwise equivalent to unsubscribe + subscribe.
+  void update(SubscriberId sub, const Rect& rect);
 
   bool contains(SubscriberId sub) const {
     return sub >= 0 && static_cast<std::size_t>(sub) < entry_of_.size() &&
            entry_of_[static_cast<std::size_t>(sub)] >= 0;
   }
 
-  // Indexed (rect, entry-id) pairs in ascending id order — the bulk-load
-  // image of the backing index.
-  std::vector<std::pair<Rect, int>> indexed_entries() const;
-
   // --- matching ---------------------------------------------------------
+  // Ids of the indexed entries whose rectangle contains `p`, ascending, in
+  // `out` (cleared on entry); `tmp` is the caller's reusable word buffer
+  // (SlabIndex::stab).
+  void stab(const Point& p, std::vector<int>& out,
+            std::vector<std::uint64_t>& tmp) const {
+    index_.stab(p, out, tmp);
+  }
   // Expand an indexed-entry stab hit at point `p` into subscriber ids
   // (appended, unsorted): the entry's riders plus the riders of every
   // covered child whose rectangle contains `p`.
@@ -110,12 +105,13 @@ class CoveringTable {
   std::size_t subscriber_count() const { return sub_count_; }
   // Distinct resident rectangles (K).
   std::size_t entry_count() const { return entry_live_; }
-  // Entries resident in the backing index (maximal rectangles).
+  // Entries resident in the index (maximal rectangles).
   std::size_t indexed_count() const { return indexed_.size(); }
   // Subscribers riding a covered (non-indexed) entry.
   std::size_t covered_subscriber_count() const { return covered_subs_; }
-  // Upper bound on entry ids ever issued (backing-index universe sizing).
-  std::size_t entry_capacity() const { return entries_.size(); }
+  // The index over indexed entries, for its maintenance gauges.  Its
+  // endpoint layout depends on churn history, unlike the counts above.
+  const SlabIndex& index() const { return index_; }
 
   // Structural invariants (two-level topology, containment, refcount
   // consistency, maximality of the indexed set); used by tests.
@@ -131,14 +127,16 @@ class CoveringTable {
 
   EntryId alloc_entry(const Rect& rect);
   void free_entry(EntryId e);
-  // Decide indexed-vs-covered for a fresh entry and record index ops.
-  void place_entry(EntryId e, Delta& delta);
-  // Put `e` in the backing index and demote any indexed entries its
-  // rectangle now covers.
-  void make_indexed(EntryId e, Delta& delta);
+  // Smallest-id indexed entry whose rectangle contains `rect`, or -1.
+  EntryId min_coverer(const Rect& rect);
+  // Attach `e` under its min-id coverer, or index it if it has none.
+  void place_entry(EntryId e);
+  // Put `e` in the index and demote any indexed entries its rectangle now
+  // covers.
+  void make_indexed(EntryId e);
   // Move indexed `o` under indexed `parent` (rect(parent) contains
   // rect(o)); o's children re-home to `parent`.
-  void demote(EntryId o, EntryId parent, Delta& delta);
+  void demote(EntryId o, EntryId parent);
   void detach_rider(SubscriberId sub);
 
   std::vector<Entry> entries_;
@@ -149,8 +147,10 @@ class CoveringTable {
   std::vector<EntryId> entry_of_;     // per subscriber, -1 = absent
   std::vector<std::uint32_t> pos_;    // position in its entry's subs list
   std::set<EntryId> indexed_;         // ascending iteration for demote scan
-  RTree rtree_;                       // indexed rects, containing() lookup
-  std::vector<int> coverers_;         // scratch for containing() results
+  SlabIndex index_;                   // indexed entries' rects, by entry id
+  Point corner_;                      // scratch: min_coverer's stab point
+  std::vector<int> hits_;             // scratch: min_coverer's stab hits
+  std::vector<std::uint64_t> words_;  // scratch: min_coverer's stab words
   std::size_t sub_count_ = 0;
   std::size_t entry_live_ = 0;
   std::size_t covered_subs_ = 0;

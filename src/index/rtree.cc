@@ -1,108 +1,18 @@
 #include "index/rtree.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <vector>
 
 namespace pubsub {
 namespace {
 
-// Volume-based measure used for enlargement decisions.  Rectangles here are
-// finite and non-empty, so volume is positive and finite.
-inline double Measure(const Rect& r) { return r.volume(); }
-
-inline double Enlargement(const Rect& mbr, const Rect& r) {
-  return Measure(mbr.hull(r)) - Measure(mbr);
-}
-
 inline void CheckInsertable(const Rect& r) {
   if (r.empty()) throw std::invalid_argument("RTree: empty rectangle");
   for (const Interval& iv : r.intervals()) {
     if (!std::isfinite(iv.lo()) || !std::isfinite(iv.hi()))
       throw std::invalid_argument("RTree: unbounded rectangle");
-  }
-}
-
-// Quadratic split (Guttman): distribute `items` into two groups.  RectOf
-// extracts the bounding rectangle of an item.
-template <typename Item, typename RectOf>
-void QuadraticSplit(std::vector<Item>& items, std::vector<Item>& out_a,
-                    std::vector<Item>& out_b, std::size_t min_fill, RectOf rect_of) {
-  assert(items.size() >= 2);
-
-  // Seed selection: the pair wasting the most area if grouped together.
-  std::size_t seed_a = 0, seed_b = 1;
-  double worst = -std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    for (std::size_t j = i + 1; j < items.size(); ++j) {
-      const double waste = Measure(rect_of(items[i]).hull(rect_of(items[j]))) -
-                           Measure(rect_of(items[i])) - Measure(rect_of(items[j]));
-      if (waste > worst) {
-        worst = waste;
-        seed_a = i;
-        seed_b = j;
-      }
-    }
-  }
-
-  Rect mbr_a = rect_of(items[seed_a]);
-  Rect mbr_b = rect_of(items[seed_b]);
-  out_a.push_back(std::move(items[seed_a]));
-  out_b.push_back(std::move(items[seed_b]));
-
-  std::vector<Item> rest;
-  rest.reserve(items.size() - 2);
-  for (std::size_t i = 0; i < items.size(); ++i)
-    if (i != seed_a && i != seed_b) rest.push_back(std::move(items[i]));
-  items.clear();
-
-  while (!rest.empty()) {
-    // If one group must take everything left to reach min fill, do so.
-    if (out_a.size() + rest.size() == min_fill) {
-      for (Item& it : rest) {
-        mbr_a = mbr_a.hull(rect_of(it));
-        out_a.push_back(std::move(it));
-      }
-      break;
-    }
-    if (out_b.size() + rest.size() == min_fill) {
-      for (Item& it : rest) {
-        mbr_b = mbr_b.hull(rect_of(it));
-        out_b.push_back(std::move(it));
-      }
-      break;
-    }
-
-    // Pick the item with the strongest group preference.
-    std::size_t best = 0;
-    double best_diff = -1.0;
-    double best_da = 0, best_db = 0;
-    for (std::size_t i = 0; i < rest.size(); ++i) {
-      const double da = Enlargement(mbr_a, rect_of(rest[i]));
-      const double db = Enlargement(mbr_b, rect_of(rest[i]));
-      const double diff = std::abs(da - db);
-      if (diff > best_diff) {
-        best_diff = diff;
-        best = i;
-        best_da = da;
-        best_db = db;
-      }
-    }
-    Item it = std::move(rest[best]);
-    rest.erase(rest.begin() + static_cast<std::ptrdiff_t>(best));
-
-    const bool to_a = best_da < best_db ||
-                      (best_da == best_db && out_a.size() <= out_b.size());
-    if (to_a) {
-      mbr_a = mbr_a.hull(rect_of(it));
-      out_a.push_back(std::move(it));
-    } else {
-      mbr_b = mbr_b.hull(rect_of(it));
-      out_b.push_back(std::move(it));
-    }
   }
 }
 
@@ -141,147 +51,13 @@ struct RTree::Node {
   }
 };
 
-RTree::RTree(std::size_t max_entries)
-    : max_entries_(max_entries), min_entries_(std::max<std::size_t>(2, max_entries / 3)) {
+RTree::RTree(std::size_t max_entries) : max_entries_(max_entries) {
   if (max_entries < 4) throw std::invalid_argument("RTree: max_entries must be >= 4");
 }
 
 RTree::~RTree() = default;
 RTree::RTree(RTree&&) noexcept = default;
 RTree& RTree::operator=(RTree&&) noexcept = default;
-
-void RTree::insert(const Rect& r, int id) {
-  CheckInsertable(r);
-  if (!root_) {
-    root_ = std::make_unique<Node>();
-    root_->leaf = true;
-  }
-
-  // Recursive insert; returns a new sibling if the child split.
-  struct Inserter {
-    RTree& tree;
-
-    std::unique_ptr<Node> insert(Node& node, const Rect& r, int id) {
-      node.mbr = node.fanout() == 0 ? r : node.mbr.hull(r);
-      if (node.leaf) {
-        node.entries.push_back(Node::LeafEntry{r, id});
-        if (node.entries.size() <= tree.max_entries_) return nullptr;
-        return split_leaf(node);
-      }
-
-      // Choose the child needing least enlargement (ties: smaller measure).
-      Node* best = nullptr;
-      double best_enl = std::numeric_limits<double>::infinity();
-      double best_measure = std::numeric_limits<double>::infinity();
-      for (const auto& c : node.children) {
-        const double enl = Enlargement(c->mbr, r);
-        const double m = Measure(c->mbr);
-        if (enl < best_enl || (enl == best_enl && m < best_measure)) {
-          best_enl = enl;
-          best_measure = m;
-          best = c.get();
-        }
-      }
-      std::unique_ptr<Node> sibling = insert(*best, r, id);
-      if (sibling) {
-        node.children.push_back(std::move(sibling));
-        if (node.children.size() > tree.max_entries_) return split_internal(node);
-      }
-      return nullptr;
-    }
-
-    std::unique_ptr<Node> split_leaf(Node& node) {
-      std::vector<Node::LeafEntry> items = std::move(node.entries);
-      node.entries.clear();
-      auto sibling = std::make_unique<Node>();
-      sibling->leaf = true;
-      QuadraticSplit(items, node.entries, sibling->entries, tree.min_entries_,
-                     [](const Node::LeafEntry& e) -> const Rect& { return e.rect; });
-      node.recompute_mbr();
-      sibling->recompute_mbr();
-      return sibling;
-    }
-
-    std::unique_ptr<Node> split_internal(Node& node) {
-      std::vector<std::unique_ptr<Node>> items = std::move(node.children);
-      node.children.clear();
-      auto sibling = std::make_unique<Node>();
-      sibling->leaf = false;
-      QuadraticSplit(items, node.children, sibling->children, tree.min_entries_,
-                     [](const std::unique_ptr<Node>& n) -> const Rect& { return n->mbr; });
-      node.recompute_mbr();
-      sibling->recompute_mbr();
-      return sibling;
-    }
-  };
-
-  Inserter inserter{*this};
-  std::unique_ptr<Node> sibling = inserter.insert(*root_, r, id);
-  if (sibling) {
-    auto new_root = std::make_unique<Node>();
-    new_root->leaf = false;
-    new_root->children.push_back(std::move(root_));
-    new_root->children.push_back(std::move(sibling));
-    new_root->recompute_mbr();
-    root_ = std::move(new_root);
-  }
-  ++size_;
-}
-
-bool RTree::erase(const Rect& r, int id) {
-  if (!root_) return false;
-
-  // Recursive find-and-remove; collects leaf entries of nodes that fall
-  // below the minimum fill so they can be re-inserted afterwards.
-  std::vector<Node::LeafEntry> orphans;
-
-  auto collect_leaves = [&orphans](auto&& self, Node& node) -> void {
-    if (node.leaf) {
-      for (Node::LeafEntry& e : node.entries) orphans.push_back(std::move(e));
-      return;
-    }
-    for (const auto& c : node.children) self(self, *c);
-  };
-
-  auto remove = [&](auto&& self, Node& node) -> bool {
-    if (!node.mbr.contains(r)) return false;
-    if (node.leaf) {
-      for (std::size_t i = 0; i < node.entries.size(); ++i) {
-        if (node.entries[i].id == id && node.entries[i].rect == r) {
-          node.entries.erase(node.entries.begin() + static_cast<std::ptrdiff_t>(i));
-          node.recompute_mbr();
-          return true;
-        }
-      }
-      return false;
-    }
-    for (std::size_t i = 0; i < node.children.size(); ++i) {
-      if (!self(self, *node.children[i])) continue;
-      // Condense: dissolve an underfull child into the orphan pool.
-      if (node.children[i]->fanout() < min_entries_) {
-        collect_leaves(collect_leaves, *node.children[i]);
-        node.children.erase(node.children.begin() + static_cast<std::ptrdiff_t>(i));
-      }
-      node.recompute_mbr();
-      return true;
-    }
-    return false;
-  };
-
-  if (!remove(remove, *root_)) return false;
-  --size_;
-
-  // Shrink the root: an internal root with one child is replaced by it; a
-  // root that lost everything is dropped.
-  while (!root_->leaf && root_->children.size() == 1)
-    root_ = std::move(root_->children.front());
-  if (root_->fanout() == 0 && orphans.empty()) root_.reset();
-
-  // Re-insert orphans (size_ is restored entry by entry).
-  size_ -= orphans.size();
-  for (Node::LeafEntry& e : orphans) insert(e.rect, e.id);
-  return true;
-}
 
 RTree RTree::BulkLoad(std::vector<std::pair<Rect, int>> items, std::size_t max_entries) {
   RTree tree(max_entries);
@@ -432,11 +208,9 @@ bool RTree::check_invariants() const {
   bool ok = true;
 
   auto walk = [&](auto&& self, const Node& node, int depth, bool is_root) -> void {
-    if (!is_root && (node.fanout() < min_entries_ || node.fanout() > max_entries_)) {
-      // Bulk-loaded rightmost nodes may legitimately be under-filled; only
-      // an *empty* non-root node is always a structural error.
-      if (node.fanout() == 0) ok = false;
-    }
+    // Packed rightmost nodes may be under-filled; only an *empty* non-root
+    // node is a structural error.
+    if (!is_root && node.fanout() == 0) ok = false;
     if (node.fanout() > max_entries_) ok = false;
     if (node.leaf) {
       if (leaf_depth == -1) leaf_depth = depth;

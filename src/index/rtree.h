@@ -1,11 +1,11 @@
-// R-tree over axis-aligned rectangles (Guttman 1984, with the STR
-// bulk-loading of Leutenegger et al. as used for packed R-trees [10]).
+// Packed R-tree over axis-aligned rectangles (Guttman 1984), built by the
+// Sort-Tile-Recursive bulk loading of Leutenegger et al. [10].
 //
-// This is the matching substrate of §4.6: subscription rectangles (and the
-// No-Loss group rectangles) are indexed once, and each published event
-// issues a point-stabbing query.  Dynamic insertion uses least-enlargement
-// subtree choice with quadratic split; `BulkLoad` packs a static rectangle
-// set bottom-up with Sort-Tile-Recursive for better query performance.
+// This is the matching substrate of §4.6 for static rectangle sets: the
+// No-Loss clustering, `NoLossMatcher` and `DeliverySimulator` index their
+// rectangles once, and each published event issues a point-stabbing query.
+// A tree is never modified after `BulkLoad`; the broker's churn-maintained
+// index is the covering table's slab index (core/covering.h).
 //
 // All stored rectangles must be finite and non-empty.
 #pragma once
@@ -19,8 +19,7 @@ namespace pubsub {
 
 class RTree final : public SpatialIndex {
  public:
-  // Fan-out limits: a node holds between min_entries and max_entries
-  // children (except the root, which may hold fewer).
+  // An empty tree.  A node holds at most max_entries children.
   explicit RTree(std::size_t max_entries = 8);
   ~RTree() override;
   RTree(RTree&&) noexcept;
@@ -31,14 +30,6 @@ class RTree final : public SpatialIndex {
   // Build a packed tree from (rect, id) pairs with Sort-Tile-Recursive.
   static RTree BulkLoad(std::vector<std::pair<Rect, int>> items,
                         std::size_t max_entries = 8);
-
-  void insert(const Rect& r, int id) override;
-
-  // Remove one entry whose rectangle and id match exactly (Guttman delete
-  // with condensation: underfull nodes are dissolved and their entries
-  // re-inserted).  Returns false if no such entry exists.  Supports
-  // subscription churn without rebuilding the index.
-  bool erase(const Rect& r, int id);
 
   std::size_t size() const override { return size_; }
 
@@ -64,7 +55,6 @@ class RTree final : public SpatialIndex {
   struct Node;
   std::unique_ptr<Node> root_;
   std::size_t max_entries_;
-  std::size_t min_entries_;
   std::size_t size_ = 0;
 };
 

@@ -22,14 +22,12 @@ class SpatialIndex {
  public:
   virtual ~SpatialIndex() = default;
 
-  virtual void insert(const Rect& r, int id) = 0;
   virtual std::size_t size() const = 0;
 
   // Ids of stored rectangles containing point p.  Order is implementation-
   // defined but must be deterministic — a pure function of the index's
-  // build/insert history — so replays reproduce byte-identical downstream
-  // state.  It need not be sorted; order-sensitive callers impose their own
-  // (the broker scatters into a bitset and emits ascending).
+  // build history — so replays reproduce byte-identical downstream state.
+  // It need not be sorted; order-sensitive callers impose their own.
   virtual void stab(const Point& p, std::vector<int>& out) const = 0;
   // Ids of stored rectangles intersecting r.
   virtual void intersecting(const Rect& r, std::vector<int>& out) const = 0;
@@ -57,7 +55,7 @@ class SpatialIndex {
 // option for very small subscription sets).
 class LinearIndex final : public SpatialIndex {
  public:
-  void insert(const Rect& r, int id) override;
+  void insert(const Rect& r, int id);
   std::size_t size() const override { return entries_.size(); }
   using SpatialIndex::containing;
   using SpatialIndex::intersecting;

@@ -180,52 +180,6 @@ void BrokerFleet::init_obs(std::size_t num_shards) {
 
 // ------------------------------------------------------------ command API
 
-JournalRecord BrokerFleet::make_record(BrokerCommand cmd) {
-  JournalRecord rec;
-  rec.seq = seq_ + 1;
-  cmd.time_ms = clock_->now_ms();
-  rec.cmd = std::move(cmd);
-  return rec;
-}
-
-SubscriberId BrokerFleet::subscribe(NodeId node, const Rect& interest) {
-  BrokerCommand cmd;
-  cmd.type = BrokerCommandType::kSubscribe;
-  cmd.node = node;
-  cmd.interest = interest;
-  const SubscriberId id =
-      static_cast<SubscriberId>(logical_.num_subscribers());
-  apply_sequenced(make_record(std::move(cmd)));
-  return id;
-}
-
-void BrokerFleet::unsubscribe(SubscriberId global_id) {
-  BrokerCommand cmd;
-  cmd.type = BrokerCommandType::kUnsubscribe;
-  cmd.subscriber = global_id;
-  apply_sequenced(make_record(std::move(cmd)));
-}
-
-void BrokerFleet::update(SubscriberId global_id, const Rect& interest) {
-  BrokerCommand cmd;
-  cmd.type = BrokerCommandType::kUpdate;
-  cmd.subscriber = global_id;
-  cmd.interest = interest;
-  apply_sequenced(make_record(std::move(cmd)));
-}
-
-FleetPublishOutcome BrokerFleet::publish(NodeId origin, const Point& event) {
-  BrokerCommand cmd;
-  cmd.type = BrokerCommandType::kPublish;
-  cmd.node = origin;
-  cmd.point = event;
-  return apply_sequenced(make_record(std::move(cmd)));
-}
-
-FleetPublishOutcome BrokerFleet::apply(const JournalRecord& rec) {
-  return apply_sequenced(rec);
-}
-
 void BrokerFleet::validate(const JournalRecord& rec) const {
   if (rec.seq != seq_ + 1)
     throw std::runtime_error(
@@ -254,7 +208,7 @@ void BrokerFleet::journal_fleet_record(const JournalRecord& rec) {
   fleet_journal_->flush();
 }
 
-FleetPublishOutcome BrokerFleet::apply_sequenced(const JournalRecord& rec) {
+FleetPublishOutcome BrokerFleet::apply(const JournalRecord& rec) {
   if (pending_active_)
     throw FleetDegradedError(
         "fleet is stalled: a record is pending on a degraded shard; heal() "

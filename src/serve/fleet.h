@@ -2,7 +2,7 @@
 //
 // One sequenced Broker caps matching throughput at a single core; the
 // fleet hosts N of them, each owning a deterministic partition of the
-// subscription space, behind the same sequenced command API.  Partition
+// subscription space, behind one apply() of sequenced records.  Partition
 // rule: a subscriber's *global* id hashes to its home shard
 // (FleetShardOf, a stable splitmix64 mix — no reassignment as the fleet
 // grows its population), and the shard stores it under a dense *local* id.
@@ -132,12 +132,7 @@ class BrokerFleet {
       const PublicationModel& pub, const Graph& network,
       const FleetOptions& options = {}, ManualClock* clock = nullptr);
 
-  // --- command API (stamps the fleet clock, like Broker's) --------------
-  SubscriberId subscribe(NodeId node, const Rect& interest);
-  void unsubscribe(SubscriberId global_id);
-  void update(SubscriberId global_id, const Rect& interest);
-  FleetPublishOutcome publish(NodeId origin, const Point& event);
-
+  // --- command API ------------------------------------------------------
   // Apply an already-sequenced *fleet* record (global ids, fleet seq):
   // must carry seq() + 1.  Write-ahead to the fleet journal, then routed /
   // fanned out to the shards as re-stamped local records.  Throws
@@ -212,10 +207,8 @@ class BrokerFleet {
 
   BrokerOptions shard_options() const;
   void init_obs(std::size_t num_shards);
-  JournalRecord make_record(BrokerCommand cmd);
   void validate(const JournalRecord& rec) const;
   void journal_fleet_record(const JournalRecord& rec);
-  FleetPublishOutcome apply_sequenced(const JournalRecord& rec);
   FleetPublishOutcome fan_out_publish(const JournalRecord& rec);
   void route_churn(const JournalRecord& rec);
   // Scatter a shard's local interested ids into the global merge words.
