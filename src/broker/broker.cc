@@ -297,6 +297,9 @@ void Broker::bootstrap_index() {
     if (clipped.empty()) continue;
     covering_.subscribe(static_cast<SubscriberId>(i), clipped);
   }
+  // Subscribing in id order indexes rectangles that later subscribers
+  // demote; their endpoints would stay resident as dead ones.
+  covering_.compact_index();
 }
 
 std::unique_ptr<Broker> Broker::Recover(const BrokerSnapshot& snapshot,

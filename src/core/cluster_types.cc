@@ -41,6 +41,7 @@ void GroupState::remove(const ClusterCell& cell) {
   --size_;
 }
 
+PUBSUB_POPCOUNT_KERNEL
 double GroupState::distance_to_excluding(const ClusterCell& cell,
                                          std::size_t* unique_out) const {
   // |s(cell) \ s(group−cell)| = |s(cell) ∩ unique()|: the bits only this
@@ -77,6 +78,7 @@ void GroupState::merge_from(const GroupState& other) {
   member_mass_ += other.member_mass_;
 }
 
+PUBSUB_POPCOUNT_KERNEL
 void BatchedGroupWaste(const ClusterCell& cell,
                        const std::vector<GroupState>& groups, const int* cand,
                        std::size_t count, double* out_dist,

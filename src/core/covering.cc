@@ -97,6 +97,18 @@ void CoveringTable::update(SubscriberId sub, const Rect& rect) {
   subscribe(sub, rect);
 }
 
+void CoveringTable::compact_index() {
+  std::vector<std::pair<Rect, int>> items;
+  items.reserve(indexed_.size());
+  for (const EntryId e : indexed_)
+    items.emplace_back(entries_[static_cast<std::size_t>(e)].rect, e);
+  // Size rows for every current entry id, so promoting a child later does
+  // not re-stride them.  Sized to the indexed ids alone, a promotion of a
+  // higher id re-strides every row at double width (steady_1shard peak RSS
+  // +0.8 MB).
+  index_ = SlabIndex(items, entries_.size());
+}
+
 void CoveringTable::expand(EntryId e, const Point& p,
                            std::vector<SubscriberId>& out) const {
   const Entry& entry = entries_[static_cast<std::size_t>(e)];

@@ -82,6 +82,10 @@ class CoveringTable {
   // Replace `sub`'s interest.  No-op when the rectangle is unchanged;
   // otherwise equivalent to unsubscribe + subscribe.
   void update(SubscriberId sub, const Rect& rect);
+  // Rebuild the index from the indexed set.  Churn leaves the endpoints of
+  // erased and demoted rectangles resident as dead ones; a bulk build has
+  // none.  Matches and every count below are unchanged.
+  void compact_index();
 
   bool contains(SubscriberId sub) const {
     return sub >= 0 && static_cast<std::size_t>(sub) < entry_of_.size() &&

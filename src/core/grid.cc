@@ -32,20 +32,26 @@ std::uint64_t HashWords(std::span<const std::uint64_t> words) {
 // cell's s(a) is the AND of its coordinates' columns.  for_each_occupied
 // walks the lattice in id order keeping one prefix AND per leading
 // dimension, so each cell costs one W-word AND, and a prefix that is
-// already empty skips its whole sub-lattice.
+// already empty skips its whole sub-lattice.  Alongside each prefix AND it
+// carries the prefix product of the coordinates' value masses, so a cell's
+// publication mass costs one multiply.
 class MembershipColumns {
  public:
-  explicit MembershipColumns(const Workload& wl)
+  MembershipColumns(const Workload& wl, const PublicationModel& pub)
       : space_(&wl.space),
         words_((wl.num_subscribers() + BitVector::word_bits() - 1) /
                BitVector::word_bits()),
         columns_(wl.space.dims()),
-        prefix_(wl.space.dims() * words_, 0),
-        cell_(wl.space.dims()) {
+        mass_(wl.space.dims()),
+        prefix_(wl.space.dims() * words_, 0) {
     const std::size_t dims = wl.space.dims();
-    for (std::size_t d = 0; d < dims; ++d)
-      columns_[d].assign(
-          static_cast<std::size_t>(wl.space.dim(d).domain_size) * words_, 0);
+    for (std::size_t d = 0; d < dims; ++d) {
+      const int n = wl.space.dim(d).domain_size;
+      columns_[d].assign(static_cast<std::size_t>(n) * words_, 0);
+      mass_[d].resize(static_cast<std::size_t>(n));
+      for (int v = 0; v < n; ++v)
+        mass_[d][static_cast<std::size_t>(v)] = pub.value_mass(d, v);
+    }
 
     std::vector<GridValueRange> range(dims);
     for (std::size_t i = 0; i < wl.subscribers.size(); ++i) {
@@ -64,12 +70,13 @@ class MembershipColumns {
     }
   }
 
-  // Calls visit(cell, words, cell_rect) for every lattice cell with a
-  // non-empty membership vector, in increasing lattice id.  `words` and
-  // `cell_rect` are reused buffers, valid only during the call.
+  // Calls visit(cell, words, mass) for every lattice cell with a non-empty
+  // membership vector, in increasing lattice id.  `words` is a reused
+  // buffer, valid only during the call; `mass` is 1.0 times the cell's
+  // value masses in dimension order, the product rect_mass forms.
   template <typename Visit>
   void for_each_occupied(std::span<const std::int64_t> strides, Visit&& visit) {
-    walk(0, 0, strides, visit);
+    walk(0, 0, 1.0, strides, visit);
   }
 
  private:
@@ -78,7 +85,7 @@ class MembershipColumns {
   }
 
   template <typename Visit>
-  void walk(std::size_t d, std::int64_t base,
+  void walk(std::size_t d, std::int64_t base, double mass_above,
             std::span<const std::int64_t> strides, Visit& visit) {
     const bool last_dim = d + 1 == space_->dims();
     std::uint64_t* out = prefix_.data() + d * words_;
@@ -91,20 +98,20 @@ class MembershipColumns {
         any |= out[w];
       }
       if (any == 0) continue;
-      cell_[d] = Interval::Point(v);
+      const double mass = mass_above * mass_[d][static_cast<std::size_t>(v)];
       const std::int64_t id = base + v * strides[d];
       if (last_dim)
-        visit(id, std::span<const std::uint64_t>(out, words_), cell_);
+        visit(id, std::span<const std::uint64_t>(out, words_), mass);
       else
-        walk(d + 1, id, strides, visit);
+        walk(d + 1, id, mass, strides, visit);
     }
   }
 
   const EventSpace* space_;
   std::size_t words_;
   std::vector<std::vector<std::uint64_t>> columns_;  // [d][v * words_ + w]
+  std::vector<std::vector<double>> mass_;            // [d][v]: value_mass
   std::vector<std::uint64_t> prefix_;  // one W-word prefix AND per dimension
-  Rect cell_;                          // rectangle of the cell being visited
 };
 
 }  // namespace
@@ -151,13 +158,18 @@ Grid::Grid(const Workload& wl, const PublicationModel& pub)
     strides_[d] = strides_[d + 1] * space_->dim(d + 1).domain_size;
 
   // 1. Membership columns, one per (dimension, value).
-  MembershipColumns columns(wl);
+  if (pub.space().dims() != dims)
+    throw std::invalid_argument("Grid: publication model dimensionality mismatch");
+  MembershipColumns columns(wl, pub);
 
   // 2. Walk the occupied cells in id order and merge equal membership
-  // vectors into hyper-cells as they appear: ids by first occurrence,
-  // `cells` ascending, and each prob summed in cell order.  The
-  // open-addressed table stores hashes and hyper-cell ids and probes
-  // against hyper_cells_[k].members, so each distinct vector exists once.
+  // vectors into hyper-cells as they appear: ids by first occurrence, and
+  // each prob summed in cell order.  A cell whose vector equals the
+  // previous occupied cell's joins that hyper-cell at once (a run along
+  // the last dimension is common).  Otherwise the open-addressed table,
+  // which stores hashes and hyper-cell ids and probes against
+  // hyper_cells_[k].members, finds or adds it, so each distinct vector
+  // exists once.
   struct Slot {
     std::uint64_t hash = 0;
     int hyper = -1;
@@ -174,59 +186,85 @@ Grid::Grid(const Workload& wl, const PublicationModel& pub)
     }
     table = std::move(bigger);
   };
+  std::vector<std::size_t> cell_count;  // per hyper-cell, for `cells`
+  int prev = -1;                        // hyper-cell of the previous cell
   hyper_of_cell_.assign(static_cast<std::size_t>(lattice_size_), -1);
   columns.for_each_occupied(strides_, [&](std::int64_t cell,
                                           std::span<const std::uint64_t> words,
-                                          const Rect& cell_rect) {
+                                          double mass) {
     ++occupied_cells_;
-    const std::uint64_t h = HashWords(words);
-    const std::size_t mask = table.size() - 1;
-    std::size_t at = h & mask;
     int hyper = -1;
-    for (; table[at].hyper != -1; at = (at + 1) & mask) {
-      const Slot& slot = table[at];
-      const auto members =
-          hyper_cells_[static_cast<std::size_t>(slot.hyper)].members.words();
-      if (slot.hash == h && std::equal(words.begin(), words.end(), members.begin())) {
-        hyper = slot.hyper;
-        break;
+    if (prev != -1 &&
+        std::equal(words.begin(), words.end(),
+                   hyper_cells_[static_cast<std::size_t>(prev)].members.words().begin())) {
+      hyper = prev;
+    } else {
+      const std::uint64_t h = HashWords(words);
+      const std::size_t mask = table.size() - 1;
+      std::size_t at = h & mask;
+      for (; table[at].hyper != -1; at = (at + 1) & mask) {
+        const Slot& slot = table[at];
+        const auto members =
+            hyper_cells_[static_cast<std::size_t>(slot.hyper)].members.words();
+        if (slot.hash == h &&
+            std::equal(words.begin(), words.end(), members.begin())) {
+          hyper = slot.hyper;
+          break;
+        }
+      }
+      if (hyper == -1) {
+        hyper = static_cast<int>(hyper_cells_.size());
+        HyperCell hc;
+        hc.members = BitVector(num_subscribers_, words);
+        hyper_cells_.push_back(std::move(hc));
+        cell_count.push_back(0);
+        table[at] = Slot{h, hyper};
+        if (2 * hyper_cells_.size() > table.size()) grow();
       }
     }
-    if (hyper == -1) {
-      hyper = static_cast<int>(hyper_cells_.size());
-      HyperCell hc;
-      hc.members = BitVector(num_subscribers_, words);
-      hyper_cells_.push_back(std::move(hc));
-      table[at] = Slot{h, hyper};
-      if (2 * hyper_cells_.size() > table.size()) grow();
-    }
-    HyperCell& hc = hyper_cells_[static_cast<std::size_t>(hyper)];
-    hc.cells.push_back(cell);
-    hc.prob += pub.rect_mass(cell_rect);
+    hyper_cells_[static_cast<std::size_t>(hyper)].prob += mass;
+    ++cell_count[static_cast<std::size_t>(hyper)];
     hyper_of_cell_[static_cast<std::size_t>(cell)] = hyper;
+    prev = hyper;
   });
 
   // 3. Popularity per hyper-cell.
   for (HyperCell& hc : hyper_cells_)
     hc.popularity = hc.prob * static_cast<double>(hc.members.count());
 
-  // 4. Sort by decreasing popularity and remap cell→hyper-cell ids.
-  std::vector<int> order(hyper_cells_.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
-  std::stable_sort(order.begin(), order.end(), [this](int a, int b) {
-    return hyper_cells_[static_cast<std::size_t>(a)].popularity >
-           hyper_cells_[static_cast<std::size_t>(b)].popularity;
+  // 4. Sort by decreasing popularity, ties by first occurrence (the order
+  // a stable sort by popularity alone gives).
+  struct Key {
+    double popularity;
+    int id;
+  };
+  std::vector<Key> order(hyper_cells_.size());
+  for (std::size_t i = 0; i < order.size(); ++i)
+    order[i] = Key{hyper_cells_[i].popularity, static_cast<int>(i)};
+  std::sort(order.begin(), order.end(), [](const Key& a, const Key& b) {
+    return a.popularity > b.popularity ||
+           (a.popularity == b.popularity && a.id < b.id);
   });
   std::vector<HyperCell> sorted;
   sorted.reserve(hyper_cells_.size());
   std::vector<int> new_id(hyper_cells_.size());
   for (std::size_t rank = 0; rank < order.size(); ++rank) {
-    new_id[static_cast<std::size_t>(order[rank])] = static_cast<int>(rank);
-    sorted.push_back(std::move(hyper_cells_[static_cast<std::size_t>(order[rank])]));
+    const auto old = static_cast<std::size_t>(order[rank].id);
+    new_id[old] = static_cast<int>(rank);
+    sorted.push_back(std::move(hyper_cells_[old]));
+    sorted.back().cells.reserve(cell_count[old]);
   }
   hyper_cells_ = std::move(sorted);
-  for (int& h : hyper_of_cell_)
-    if (h != -1) h = new_id[static_cast<std::size_t>(h)];
+
+  // 5. Remap cell -> hyper-cell ids and list each hyper-cell's cells,
+  // ascending, into its exactly reserved `cells`.
+  for (std::size_t cell = 0; cell < hyper_of_cell_.size(); ++cell) {
+    int& h = hyper_of_cell_[cell];
+    if (h == -1) continue;
+    h = new_id[static_cast<std::size_t>(h)];
+    hyper_cells_[static_cast<std::size_t>(h)].cells.push_back(
+        static_cast<std::int64_t>(cell));
+  }
 }
 
 std::int64_t Grid::cell_of(const Point& p) const {

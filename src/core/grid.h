@@ -54,7 +54,9 @@ class Grid {
   // value), then walks the lattice in id order with one prefix AND per
   // leading dimension: each cell costs one word-wise AND of its prefix and
   // its last coordinate's column, and an empty prefix skips its whole
-  // sub-lattice.  Equal vectors merge into hyper-cells as they appear, so
+  // sub-lattice.  A cell's publication mass is a prefix product of
+  // pub.value_mass kept alongside, bit-identical to pub.rect_mass of its
+  // cell_rect.  Equal vectors merge into hyper-cells as they appear, so
   // hyper-cell ids before the sort follow first occurrence, `cells` is
   // ascending and `prob` is summed in cell order.  The build is serial and
   // its output is a pure function of (wl, pub).

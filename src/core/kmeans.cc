@@ -131,10 +131,12 @@ KMeansResult KMeansCluster(const std::vector<ClusterCell>& cells, std::size_t K,
       if (nc >= 1 && nc <= kMaxCandidates) {
         g = ClosestInClosure(groups, cells[i], cand, nc);
         used_closure = true;
+        result.distance_evals += nc;
       }
     }
     if (!used_closure || options.closure_oracle) {
       const std::size_t exact = ClosestGroup(groups, cells[i]);
+      result.distance_evals += K;
       if (used_closure && g != exact) ++result.oracle_mismatches;
       if (closure && !used_closure) ++result.closure_fallbacks;
       g = exact;
@@ -239,6 +241,7 @@ KMeansResult KMeansCluster(const std::vector<ClusterCell>& cells, std::size_t K,
               BuildClosure(*options.neighbors, result.assignment, i,
                            static_cast<int>(cur), seed_groups, cand);
           if (nc <= kMaxCandidates) {
+            result.distance_evals += nc + 1;
             std::size_t u = 0;
             const double d_stay = groups[cur].distance_to_excluding(cells[i], &u);
             double dist[kMaxCandidates];
@@ -283,6 +286,7 @@ KMeansResult KMeansCluster(const std::vector<ClusterCell>& cells, std::size_t K,
         }
         if (!closure || !used_closure || options.closure_oracle) {
           const std::size_t exact = ClosestGroupExcluding(groups, cur, cells[i]);
+          result.distance_evals += K;
           if (used_closure && next != exact) ++result.oracle_mismatches;
           if (closure && !used_closure) ++result.closure_fallbacks;
           next = exact;
@@ -313,6 +317,7 @@ KMeansResult KMeansCluster(const std::vector<ClusterCell>& cells, std::size_t K,
       // Oracle mode skips the gate — its contract is bit-identity with the
       // closure-off path, and exact Forgy applies proposals unconditionally.
       std::vector<std::size_t> proposed(cells.size());
+      std::vector<std::size_t> evals(cells.size(), 0);  // per-cell distances
       std::vector<std::uint8_t> code;  // per-cell closure outcome, merged below
       if (closure) code.assign(cells.size(), 0);
       ParallelFor(
@@ -327,6 +332,7 @@ KMeansResult KMeansCluster(const std::vector<ClusterCell>& cells, std::size_t K,
                   BuildClosure(*options.neighbors, result.assignment, i,
                                static_cast<int>(cur), seed_groups, cand);
               if (nc <= kMaxCandidates) {
+                evals[i] += nc + 1;
                 double dist[kMaxCandidates];
                 BatchedGroupWaste(cells[i], groups, cand, nc, dist, nullptr);
                 int best = -1;
@@ -347,6 +353,7 @@ KMeansResult KMeansCluster(const std::vector<ClusterCell>& cells, std::size_t K,
             }
             if (!closure || !used_closure || options.closure_oracle) {
               const std::size_t exact = ClosestGroupExcluding(groups, cur, cells[i]);
+              evals[i] += K;
               if (closure) {
                 if (used_closure && next != exact) code[i] |= 4;
                 if (!used_closure) code[i] |= 2;
@@ -358,6 +365,7 @@ KMeansResult KMeansCluster(const std::vector<ClusterCell>& cells, std::size_t K,
           },
           /*min_parallel=*/256, /*grain=*/64);
       result.cell_visits += cells.size();
+      for (const std::size_t e : evals) result.distance_evals += e;
       if (closure) {
         for (const std::uint8_t c : code) {
           result.closure_hits += c & 1;

@@ -66,6 +66,13 @@ struct KMeansResult {
 
   // Work and closure accounting for this call.
   std::size_t cell_visits = 0;        // per-cell nearest-group evaluations
+  // Cell-to-group distances evaluated: an exact scan costs K, a closure
+  // evaluation its candidate count plus, in a re-assignment pass, the
+  // cell's distance to its own group without it.  A decision that falls
+  // back to (or, in oracle mode, also runs) the exact scan pays both.
+  // Exact over closure is the algorithmic saving of arXiv 1312.3061 as a
+  // count, independent of how fast one distance is.
+  std::size_t distance_evals = 0;
   std::size_t closure_hits = 0;       // decisions served by the closure alone
   // Decisions the closure verdict did not serve on its own: exact-scan
   // re-decisions (empty/overflowed closure, failed MacQueen improvement

@@ -14,6 +14,7 @@ BitVector::BitVector(std::size_t nbits, std::span<const std::uint64_t> words)
     throw std::invalid_argument("BitVector: bit set beyond size");
 }
 
+PUBSUB_POPCOUNT_KERNEL
 std::size_t BitVector::count() const {
   std::size_t n = 0;
   for (std::uint64_t w : words_) n += std::popcount(w);
@@ -50,6 +51,7 @@ BitVector& BitVector::and_not_assign(const BitVector& o) {
   return *this;
 }
 
+PUBSUB_POPCOUNT_KERNEL
 std::size_t BitVector::count_and_not(const BitVector& o) const {
   assert(nbits_ == o.nbits_);
   std::size_t n = 0;
@@ -58,6 +60,7 @@ std::size_t BitVector::count_and_not(const BitVector& o) const {
   return n;
 }
 
+PUBSUB_POPCOUNT_KERNEL
 void BitVector::count_diffs(const BitVector& o, std::size_t* this_not_o,
                             std::size_t* o_not_this) const {
   assert(nbits_ == o.nbits_);
@@ -72,6 +75,7 @@ void BitVector::count_diffs(const BitVector& o, std::size_t* this_not_o,
   *o_not_this = b;
 }
 
+PUBSUB_POPCOUNT_KERNEL
 std::size_t BitVector::count_and(const BitVector& o) const {
   assert(nbits_ == o.nbits_);
   std::size_t n = 0;
@@ -80,6 +84,7 @@ std::size_t BitVector::count_and(const BitVector& o) const {
   return n;
 }
 
+PUBSUB_POPCOUNT_KERNEL
 std::size_t BitVector::count_or(const BitVector& o) const {
   assert(nbits_ == o.nbits_);
   std::size_t n = 0;

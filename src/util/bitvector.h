@@ -14,6 +14,31 @@
 #include <string>
 #include <vector>
 
+// Marks the functions that run std::popcount over membership words: the
+// count kernels below and the two distance kernels in core/cluster_types.
+// Without -mpopcnt, GCC and Clang compile std::popcount on x86-64 to a
+// call into libgcc's __popcountdi2.  On x86-64 this macro asks the
+// compiler for a POPCNT clone plus a baseline clone of the function, and
+// the loader's ifunc resolver picks one once, at startup, by CPU.  So the
+// kernels use the instruction wherever the CPU has it, and the binary
+// still runs on x86-64 CPUs that lack it (no -march flag is needed).
+// Other targets get plain functions.  So do ThreadSanitizer builds: with
+// GCC 12, a TSan binary that contains a target_clones resolver crashes at
+// startup.
+#if defined(__SANITIZE_THREAD__)
+#define PUBSUB_TSAN_BUILD 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define PUBSUB_TSAN_BUILD 1
+#endif
+#endif
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__)) && \
+    !defined(PUBSUB_TSAN_BUILD)
+#define PUBSUB_POPCOUNT_KERNEL __attribute__((target_clones("popcnt", "default")))
+#else
+#define PUBSUB_POPCOUNT_KERNEL
+#endif
+
 namespace pubsub {
 
 class BitVector {

@@ -77,4 +77,8 @@ double ProductPublicationModel::rect_mass(const Rect& r) const {
   return mass;
 }
 
+double ProductPublicationModel::value_mass(std::size_t dim, int v) const {
+  return marginals_[dim].interval_mass(Interval::Point(v));
+}
+
 }  // namespace pubsub

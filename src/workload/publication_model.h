@@ -31,6 +31,11 @@ class PublicationModel {
   virtual Publication sample(Rng& rng) const = 0;
   // P(event ∈ r); r must have the space's dimensionality.
   virtual double rect_mass(const Rect& r) const = 0;
+  // P(dimension `dim` of an event ∈ (v−1, v]), for 0 <= v < its domain
+  // size.  rect_mass of a unit cell is, bit for bit, 1.0 times these
+  // factors in dimension order; Grid keeps that product as a prefix
+  // product along its lattice walk.
+  virtual double value_mass(std::size_t dim, int v) const = 0;
 };
 
 // Product-form model: each dimension is an independent Marginal1D; the
@@ -50,6 +55,7 @@ class ProductPublicationModel final : public PublicationModel {
   const EventSpace& space() const override { return space_; }
   Publication sample(Rng& rng) const override;
   double rect_mass(const Rect& r) const override;
+  double value_mass(std::size_t dim, int v) const override;
 
   const std::vector<Marginal1D>& marginals() const { return marginals_; }
 

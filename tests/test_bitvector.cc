@@ -91,6 +91,36 @@ TEST(BitVector, CountKernelsMatchMaterialized) {
     EXPECT_EQ(a.intersects(b), (a & b).any());
     EXPECT_EQ(a.is_subset_of(b), a.count_and_not(b) == 0);
   }
+
+  // The checks above compare kernels with kernels, so a wrong popcount
+  // would pass them.  Here each kernel meets a per-bit test() loop, at
+  // sizes around the word boundary and at membership-vector sizes.
+  for (const std::size_t n : {1, 63, 64, 65, 1000, 5000}) {
+    for (const double density : {0.05, 0.5, 0.95}) {
+      BitVector a(n), b(n);
+      std::bernoulli_distribution bit(density);
+      for (std::size_t i = 0; i < n; ++i) {
+        if (bit(rng)) a.set(i);
+        if (bit(rng)) b.set(i);
+      }
+      std::size_t ones = 0, both = 0, a_only = 0, b_only = 0, either = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        ones += a.test(i);
+        both += a.test(i) && b.test(i);
+        a_only += a.test(i) && !b.test(i);
+        b_only += b.test(i) && !a.test(i);
+        either += a.test(i) || b.test(i);
+      }
+      EXPECT_EQ(a.count(), ones) << "n=" << n;
+      EXPECT_EQ(a.count_and(b), both) << "n=" << n;
+      EXPECT_EQ(a.count_and_not(b), a_only) << "n=" << n;
+      EXPECT_EQ(a.count_or(b), either) << "n=" << n;
+      std::size_t a_not_b = 0, b_not_a = 0;
+      a.count_diffs(b, &a_not_b, &b_not_a);
+      EXPECT_EQ(a_not_b, a_only) << "n=" << n;
+      EXPECT_EQ(b_not_a, b_only) << "n=" << n;
+    }
+  }
 }
 
 TEST(BitVector, SubsetSemantics) {

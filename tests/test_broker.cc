@@ -510,6 +510,30 @@ TEST(Broker, SnapshotRoundTripRestoresCoveringTable) {
   EXPECT_GT(gauge(live, "broker_covered_subscribers"), 0.0);
 }
 
+// A fresh or recovered broker builds its index by subscribing the table in
+// id order, which indexes rectangles that later subscribers demote; the
+// bootstrap then compacts the index, so none of their endpoints stays
+// resident as a dead one.
+TEST(Broker, BootstrapLeavesNoDeadSlabEndpoints) {
+  BrokerFixture f;
+  const BrokerOptions opts = f.SmallOptions();
+  const auto gauge = [](const Broker& b, const char* name) {
+    return b.metrics().gauge(name, "")->value();
+  };
+  ManualClock clock;
+  Broker live = f.MakeBroker(opts, &clock);
+  EXPECT_GT(gauge(live, "broker_slab_endpoints"), 0.0);
+  EXPECT_EQ(gauge(live, "broker_slab_dead_endpoints"), 0.0);
+
+  f.Drive(live, clock);
+  const BrokerSnapshot snap = live.snapshot();
+  ASSERT_GT(snap.seq, 0u);
+  const auto restored = Broker::Recover(snap, {}, *f.scenario.pub,
+                                        f.scenario.net.graph, opts);
+  EXPECT_GT(gauge(*restored, "broker_slab_endpoints"), 0.0);
+  EXPECT_EQ(gauge(*restored, "broker_slab_dead_endpoints"), 0.0);
+}
+
 // --- fault injection & graceful degradation -------------------------------
 
 // Clears the process-global fail-point registry on both sides of each test.

@@ -232,15 +232,28 @@ TEST(BatchedGroupWasteTest, BitIdenticalToPerCandidateDistance) {
   for (std::size_t j = 0; j < cand.size(); ++j)
     cand[j] = static_cast<int>(cand.size() - 1 - j);  // arbitrary order
 
-  for (const ClusterCell& cell : cells) {
-    std::vector<double> dist(cand.size());
-    std::vector<std::size_t> cell_not_g(cand.size());
-    BatchedGroupWaste(cell, groups, cand.data(), cand.size(), dist.data(),
-                      cell_not_g.data());
-    for (std::size_t j = 0; j < cand.size(); ++j) {
-      const GroupState& g = groups[static_cast<std::size_t>(cand[j])];
-      EXPECT_EQ(dist[j], g.distance_to(cell));
-      EXPECT_EQ(cell_not_g[j], cell.members->count_and_not(g.vec()));
+  // Up to 8 candidates share one sweep; more take the per-candidate path.
+  // Each distance is also checked against counts from per-bit test()
+  // loops, which share no popcount kernel with either path.
+  for (const std::size_t count : {1, 5, 8, 9, 19}) {
+    for (const ClusterCell& cell : cells) {
+      std::vector<double> dist(count);
+      std::vector<std::size_t> cell_not_g(count);
+      BatchedGroupWaste(cell, groups, cand.data(), count, dist.data(),
+                        cell_not_g.data());
+      for (std::size_t j = 0; j < count; ++j) {
+        const GroupState& g = groups[static_cast<std::size_t>(cand[j])];
+        std::size_t c_only = 0, g_only = 0;
+        for (std::size_t i = 0; i < ns; ++i) {
+          c_only += cell.members->test(i) && !g.vec().test(i);
+          g_only += g.vec().test(i) && !cell.members->test(i);
+        }
+        EXPECT_EQ(dist[j], g.distance_to(cell)) << "count=" << count;
+        EXPECT_EQ(dist[j], cell.prob * static_cast<double>(c_only) +
+                               g.prob() * static_cast<double>(g_only))
+            << "count=" << count;
+        EXPECT_EQ(cell_not_g[j], c_only) << "count=" << count;
+      }
     }
   }
 }

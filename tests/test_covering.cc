@@ -93,6 +93,29 @@ TEST(Covering, PromotionDemotesNowCoveredEntries) {
   EXPECT_TRUE(t.check_invariants());
 }
 
+TEST(Covering, CompactIndexDropsDeadEndpointsAndKeepsMatches) {
+  CoveringTable t;
+  t.subscribe(0, R2(2, 5, 2, 5));
+  t.subscribe(1, R2(6, 9, 6, 9));
+  t.subscribe(2, R2(0, 10, 0, 10));  // demotes both: 2,5,6,9 die per axis
+  EXPECT_EQ(t.index().dead_endpoints(), 8u);
+  t.compact_index();
+  EXPECT_EQ(t.index().dead_endpoints(), 0u);
+  EXPECT_EQ(t.index().endpoint_count(), 4u);
+  EXPECT_TRUE(t.check_invariants());
+  EXPECT_EQ(Match(t, Point{3.0, 3.0}), (std::vector<SubscriberId>{0, 2}));
+  EXPECT_EQ(Match(t, Point{7.0, 7.0}), (std::vector<SubscriberId>{1, 2}));
+  // Churn goes on against the rebuilt index, entry ids past its bulk-built
+  // universe included.
+  t.unsubscribe(2);  // both children promote
+  t.subscribe(3, R2(20, 30, 20, 30));
+  t.subscribe(4, R2(40, 50, 40, 50));
+  EXPECT_EQ(Match(t, Point{3.0, 3.0}), (std::vector<SubscriberId>{0}));
+  EXPECT_EQ(Match(t, Point{25.0, 25.0}), (std::vector<SubscriberId>{3}));
+  EXPECT_EQ(Match(t, Point{45.0, 45.0}), (std::vector<SubscriberId>{4}));
+  EXPECT_TRUE(t.check_invariants());
+}
+
 TEST(Covering, IndexedDeathRehomesChildren) {
   CoveringTable t;
   t.subscribe(0, R2(0, 10, 0, 10));   // parent

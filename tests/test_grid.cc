@@ -8,6 +8,7 @@
 #include <unordered_map>
 
 #include "core/grid.h"
+#include "sim/scenario.h"
 #include "util/rng.h"
 #include "workload/publication_model.h"
 
@@ -268,6 +269,17 @@ TEST(Grid, SubscriberOutsideDomainIgnored) {
   EXPECT_TRUE(grid.hyper_cells().empty());
 }
 
+// The walk reads pub.value_mass(d, v) for every dimension of the
+// workload's space, so a model over another dimensionality is refused.
+TEST(Grid, RejectsPublicationModelOfOtherDimensionality) {
+  Workload wl;
+  wl.space = EventSpace({{"a", 4}, {"b", 3}});
+  wl.subscribers.push_back(Subscriber{0, Rect({Interval(0, 2), Interval(0, 1)})});
+  Workload one_dim;
+  one_dim.space = EventSpace({{"a", 4}});
+  EXPECT_THROW(Grid(wl, *UniformPub(one_dim)), std::invalid_argument);
+}
+
 // ---------------------------------------------------------------------------
 // Oracle fuzz: Grid's column build against the per-subscriber box
 // rasterization it replaced, kept here as the brute-force reference.
@@ -503,6 +515,14 @@ TEST(GridOracle, RepeatedRectsAndPopularityTiesMatchReference) {
   Rng pub_rng(8);
   const auto skewed = RandomPub(pub_rng, wl.space);
   ExpectGridMatchesReference(wl, *skewed, "skewed");
+}
+
+// bench_fleet's scenario: 1,000 stock subscribers on the 27,783-cell stock
+// lattice.  Runs of equal vectors are common there, so the build's
+// previous-cell fast path does much of the merging.
+TEST(GridOracle, StockScenarioMatchesReference) {
+  const Scenario sc = MakeStockScenario(1000, PublicationHotSpots::kOne, 91);
+  ExpectGridMatchesReference(sc.workload, *sc.pub, "stock 1000");
 }
 
 }  // namespace

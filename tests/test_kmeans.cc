@@ -243,6 +243,30 @@ TEST_P(KMeansClosureTest, ClosureNeverWorseThanInitialPartition) {
   }
 }
 
+// distance_evals counts the work closures save: the exact path pays K per
+// decision (cell_visits counts decisions), a closure run pays less, and
+// oracle mode pays the closure's evaluations on top of the exact scan.
+TEST_P(KMeansClosureTest, DistanceEvalsCountExactAndClosureWork) {
+  Rng rng(25);
+  const CellSet set = RandomCells(300, 40, rng);
+  const auto neighbors = ChainNeighbors(set.cells.size());
+  const std::size_t k = 16;
+  const KMeansResult exact = KMeansCluster(set.cells, k, Opt());
+  EXPECT_EQ(exact.distance_evals, exact.cell_visits * k);
+
+  KMeansOptions opt = Opt();
+  opt.closure = true;
+  opt.neighbors = &neighbors;
+  const KMeansResult closure = KMeansCluster(set.cells, k, opt);
+  EXPECT_GT(closure.distance_evals, 0u);
+  EXPECT_LT(closure.distance_evals, closure.cell_visits * k);
+
+  opt.closure_oracle = true;
+  const KMeansResult oracle = KMeansCluster(set.cells, k, opt);
+  EXPECT_EQ(oracle.assignment, exact.assignment);
+  EXPECT_GT(oracle.distance_evals, oracle.cell_visits * k);
+}
+
 INSTANTIATE_TEST_SUITE_P(Variants, KMeansClosureTest,
                          ::testing::Values(KMeansVariant::kMacQueen,
                                            KMeansVariant::kForgy),

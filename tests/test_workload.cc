@@ -2,8 +2,11 @@
 // subscriber placement.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <map>
+#include <string>
 
 #include "workload/interval_gen.h"
 #include "workload/placement.h"
@@ -258,6 +261,59 @@ TEST(StockModel, RectMassIsAProductMeasure) {
   Rect empty = domain;
   empty[3] = Interval(4, 4);
   EXPECT_EQ(model->rect_mass(empty), 0.0);
+}
+
+// Grid forms each unit cell's mass as 1.0 times value_mass in dimension
+// order; that product must equal rect_mass of the cell bit for bit, zero
+// factors (rect_mass's early exit) included.
+void ExpectUnitCellMassIsValueMassProduct(const PublicationModel& model,
+                                          const std::string& label) {
+  const EventSpace& space = model.space();
+  std::vector<int> v(space.dims(), 0);
+  std::size_t cells = 0;
+  for (bool more = true; more; ++cells) {
+    std::vector<Interval> ivals;
+    double product = 1.0;
+    for (std::size_t d = 0; d < space.dims(); ++d) {
+      ivals.push_back(Interval::Point(v[d]));
+      product *= model.value_mass(d, v[d]);
+    }
+    const double mass = model.rect_mass(Rect(std::move(ivals)));
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(product),
+              std::bit_cast<std::uint64_t>(mass))
+        << label << " cell " << cells;
+    more = false;
+    for (std::size_t d = space.dims(); d-- > 0;) {
+      if (++v[d] < space.dim(d).domain_size) {
+        more = true;
+        break;
+      }
+      v[d] = 0;
+    }
+  }
+  std::int64_t lattice = 1;
+  for (std::size_t d = 0; d < space.dims(); ++d) lattice *= space.dim(d).domain_size;
+  EXPECT_EQ(static_cast<std::int64_t>(cells), lattice) << label;
+}
+
+TEST(StockModel, UnitCellMassIsTheOrderedValueMassProduct) {
+  const TransitStubNetwork net = Net(29);
+  for (const PublicationHotSpots spots :
+       {PublicationHotSpots::kOne, PublicationHotSpots::kNine})
+    ExpectUnitCellMassIsValueMassProduct(
+        *MakeStockPublicationModel(net, spots, {}),
+        spots == PublicationHotSpots::kOne ? "stock one" : "stock nine");
+  ExpectUnitCellMassIsValueMassProduct(
+      *MakeSection3PublicationModel(Net(19, PaperNet100()), Section3Params{}),
+      "section3");
+  // Zero-mass values, so some products hit 0.0 before the last factor.
+  const EventSpace space({{"a", 7}, {"b", 5}, {"c", 6}});
+  std::vector<Marginal1D> marginals;
+  marginals.push_back(Marginal1D::Categorical({0.0, 1.0, 0.0, 3.0, 0.5, 0.0, 2.0}));
+  marginals.push_back(Marginal1D::Categorical({1.0, 0.0, 0.0, 0.25, 7.0}));
+  marginals.push_back(Marginal1D::UniformInt(6));
+  ExpectUnitCellMassIsValueMassProduct(
+      ProductPublicationModel(space, std::move(marginals), {0}), "categorical");
 }
 
 TEST(StockModel, DeterministicUnderSeed) {
