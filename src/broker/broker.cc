@@ -20,6 +20,8 @@ Broker::Broker(Workload initial, const PublicationModel& pub,
       options_(options),
       policy_(options.refresh),
       trace_(options.obs.trace_capacity) {
+  for (const Subscriber& s : initial.subscribers)
+    network.check_node(s.node, "Broker");
   init_obs(options);
   mgr_ = std::make_unique<GroupManager>(std::move(initial), pub, options_.group);
   runtime_ =
@@ -47,6 +49,8 @@ Broker::Broker(RestoreTag, const BrokerSnapshot& snapshot,
         "Broker: snapshot group count (" + std::to_string(snapshot.num_groups) +
         ") does not match options (" +
         std::to_string(options.group.num_groups) + ")");
+  for (const Subscriber& s : snapshot.workload.subscribers)
+    network.check_node(s.node, "Broker");
   init_obs(options);
   // Adopt the snapshot's clustering verbatim (no re-clustering) along with
   // its warm/cold bookkeeping.
@@ -257,7 +261,7 @@ void Broker::seed_stats(const BrokerStats& s) {
 
 void Broker::update_derived_gauges() {
   Set(g_seq_, static_cast<double>(seq_));
-  Set(g_live_subscribers_, static_cast<double>(covering_.subscriber_count()));
+  Set(g_live_subscribers_, static_cast<double>(live_subscribers()));
   Set(g_covering_entries_, static_cast<double>(covering_.entry_count()));
   Set(g_covering_indexed_, static_cast<double>(covering_.indexed_count()));
   Set(g_covered_subscribers_,
@@ -340,18 +344,10 @@ std::unique_ptr<Broker> Broker::Recover(const BrokerSnapshot& snapshot,
 }
 
 void Broker::set_journal(std::ostream* sink, bool write_header) {
-  if (sink == nullptr) {
-    set_journal_sink(nullptr, false);
-    owned_journal_sink_.reset();
-    return;
-  }
-  owned_journal_sink_ = std::make_unique<StreamSink>(*sink, "journal");
-  set_journal_sink(owned_journal_sink_.get(), write_header);
-}
-
-void Broker::set_journal_sink(FileSink* sink, bool write_header) {
-  journal_ = sink;
-  if (sink != nullptr && write_header) {
+  journal_.reset();
+  if (sink == nullptr) return;
+  journal_ = std::make_unique<StreamSink>(*sink, "journal");
+  if (write_header) {
     std::ostringstream ss;
     WriteJournalHeader(ss, mgr_->workload().space.dims());
     journal_append(ss.str(), nullptr);
@@ -422,7 +418,7 @@ PublishOutcome Broker::apply_record(const JournalRecord& rec) {
   }
   if (rec.seq != seq_ + 1)
     throw std::runtime_error("Broker: non-contiguous sequence number");
-  validate_churn(rec.cmd);
+  validate_command(rec.cmd);
   const bool sampled =
       trace_ctx_armed_ || (trace_sample_ > 0 && rec.seq % trace_sample_ == 0);
   FailPoints& fp = FailPoints::Instance();
@@ -585,16 +581,19 @@ bool Broker::heal_probe() {
   return healed;
 }
 
-void Broker::validate_churn(const BrokerCommand& cmd) const {
+void Broker::validate_command(const BrokerCommand& cmd) const {
   // Only checks serialization cannot do: WriteJournalRecord already
   // rejects interest/point dimensionality mismatches before any byte
-  // reaches the sink, but it cannot know the subscriber table — an
-  // unknown-id unsubscribe/update must be caught here, pre-journal, or the
-  // record lands in the journal (and consumes a seq) while the mutation
-  // throws, crashing recovery replay.
-  if (cmd.type != BrokerCommandType::kUnsubscribe &&
-      cmd.type != BrokerCommandType::kUpdate)
+  // reaches the sink, but it knows neither the subscriber table nor the
+  // network — an unknown-id unsubscribe/update, or a subscribe or publish
+  // at a node outside the network, must be caught here, pre-journal, or
+  // the record lands in the journal (and consumes a seq) while the
+  // mutation throws or reads out of bounds, crashing recovery replay.
+  if (cmd.type == BrokerCommandType::kSubscribe ||
+      cmd.type == BrokerCommandType::kPublish) {
+    network_->check_node(cmd.node, "Broker");
     return;
+  }
   if (cmd.subscriber < 0 ||
       static_cast<std::size_t>(cmd.subscriber) >=
           mgr_->workload().num_subscribers())
@@ -821,7 +820,10 @@ std::uint64_t Broker::state_digest() const {
   std::uint64_t h = DigestWord(kDigestBasis, seq_);
   h = DigestWord(h, mgr_->pending_churn());
   h = DigestWord(h, mgr_->churn_since_full_build());
-  h = DigestWorkload(h, mgr_->workload());
+  const Workload& table = mgr_->workload();
+  h = DigestSpace(h, table.space);
+  h = DigestWord(h, table.num_subscribers());
+  for (const Subscriber& s : table.subscribers) h = DigestSubscriber(h, s);
   h = DigestWord(h, mgr_->assignment().size());
   for (const int g : mgr_->assignment())
     h = DigestWord(h, static_cast<std::uint64_t>(g));

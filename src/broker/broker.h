@@ -130,7 +130,8 @@ class Broker {
  public:
   // Fresh broker: clusters `initial` cold and starts at seq 0.  `pub`,
   // `network` and `clock` (optional; defaults to an owned ManualClock at 0)
-  // must outlive the broker.
+  // must outlive the broker.  A subscriber at a node outside `network`
+  // throws std::out_of_range, here and in Recover.
   Broker(Workload initial, const PublicationModel& pub, const Graph& network,
          const BrokerOptions& options = {}, Clock* clock = nullptr);
 
@@ -150,11 +151,8 @@ class Broker {
   // `write_header`, emits the journal header first — pass false when
   // resuming an existing journal file.  Records are flushed per command.
   // The stream is wrapped in a StreamSink under the "journal.*" fail-point
-  // sites; use set_journal_sink to supply a custom FileSink.
+  // sites.
   void set_journal(std::ostream* sink, bool write_header = true);
-  // As set_journal, but with an injectable sink (must outlive the broker;
-  // nullptr detaches).
-  void set_journal_sink(FileSink* sink, bool write_header = true);
 
   // --- command API ------------------------------------------------------
   SubscriberId subscribe(NodeId node, const Rect& interest);
@@ -180,6 +178,12 @@ class Broker {
   BrokerStats stats() const;
   const GroupManager& groups() const { return *mgr_; }
   const Workload& workload() const { return mgr_->workload(); }
+  // Subscribers with a live in-domain interest: the covering table's rider
+  // count (tombstones and out-of-domain interests excluded), which the
+  // broker_live_subscribers gauge reports.
+  std::size_t live_subscribers() const {
+    return covering_.subscriber_count();
+  }
   double last_command_time_ms() const { return last_time_ms_; }
 
   // Exact interested set for an event against the live table (sorted);
@@ -246,12 +250,12 @@ class Broker {
   [[noreturn]] void enter_degraded(const std::string& why,
                                    const std::string& text, std::size_t offset,
                                    const JournalRecord* rec);
-  // Reject invalid churn commands BEFORE the write-ahead append: a command
-  // that would fail mid-apply must fail identically on live submit, apply()
-  // and journal replay, without consuming a sequence number or reaching
-  // the journal (an unknown-id unsubscribe that got journaled would crash
-  // recovery replay).
-  void validate_churn(const BrokerCommand& cmd) const;
+  // Reject invalid commands BEFORE the write-ahead append: a command that
+  // would fail mid-apply must fail identically on live submit, apply() and
+  // journal replay, without consuming a sequence number or reaching the
+  // journal (an unknown-id unsubscribe or an out-of-network node that got
+  // journaled would crash recovery replay).
+  void validate_command(const BrokerCommand& cmd) const;
   void apply_churn(const BrokerCommand& cmd);
   PublishOutcome apply_publish(const BrokerCommand& cmd);
   void maybe_refresh(PublishOutcome* outcome);
@@ -288,10 +292,8 @@ class Broker {
   // churn on a known rectangle never touches the index.
   CoveringTable covering_;
 
-  // Journal sink: either caller-supplied or an owned StreamSink wrapper
-  // around the std::ostream passed to set_journal.
-  FileSink* journal_ = nullptr;
-  std::unique_ptr<StreamSink> owned_journal_sink_;
+  // Journal sink around the std::ostream passed to set_journal.
+  std::unique_ptr<StreamSink> journal_;
   bool degraded_ = false;
   // The append interrupted by degradation: bytes [0, pending_offset_) were
   // accepted by the sink before the budget ran out, so clear_degraded()

@@ -238,11 +238,6 @@ bool SlabIndex::erase(int id) {
   return true;
 }
 
-void SlabIndex::update(const Rect& rect, int id) {
-  erase(id);
-  insert(rect, id);
-}
-
 void SlabIndex::maybe_rebuild() {
   if (dead_ends_ < maint_.min_dead_endpoints) return;
   const std::size_t live = ends_total_ - dead_ends_;

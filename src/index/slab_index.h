@@ -14,8 +14,8 @@
 // Hits are emitted in ascending id order (the bit order), so a stab doubles
 // as the sorted-set kernel the broker's hot path uses.
 //
-// Maintainable under churn (ISSUE 6 tentpole): insert/erase/update patch
-// the structure in place instead of re-deriving all elementary pieces.
+// Maintainable under churn: insert/erase patch the structure in place
+// instead of re-deriving all elementary pieces.
 //
 //   * insert splices at most two new endpoints per dimension.  Inserting
 //     endpoint v between e_{k-1} and e_k splits piece k into (e_{k-1}, v]
@@ -66,6 +66,9 @@ class SlabIndex {
   // have the same dimensionality.
   SlabIndex(const std::vector<std::pair<Rect, int>>& items,
             std::size_t universe);
+  // As above with a non-default rebuild threshold.  Production indexes use
+  // the defaults; the churn fuzz (tests/test_slab_index.cc) passes a low
+  // bound to force threshold rebuilds mid-run.
   SlabIndex(const std::vector<std::pair<Rect, int>>& items,
             std::size_t universe, MaintenanceOptions maint);
 
@@ -78,9 +81,6 @@ class SlabIndex {
   // Remove `id`; returns false if it was not present.  May trigger a
   // threshold rebuild (see MaintenanceOptions).
   bool erase(int id);
-  // erase(id) + insert(rect, id): replaces id's rectangle (id need not be
-  // present; an empty `rect` degenerates to erase).
-  void update(const Rect& rect, int id);
 
   // Append every id whose rectangle contains p to `out` (cleared on entry),
   // in ascending id order.  `tmp` is the caller's reusable word buffer —
@@ -102,7 +102,7 @@ class SlabIndex {
   std::size_t universe() const { return universe_; }
 
   // --- maintenance telemetry -------------------------------------------
-  // Threshold rebuilds performed by erase/update.
+  // Threshold rebuilds performed by erase.
   std::uint64_t rebuilds() const { return rebuilds_; }
   // Endpoints spliced in by incremental inserts (lifetime count).
   std::uint64_t spliced_endpoints() const { return splices_; }

@@ -12,8 +12,6 @@ StreamSink::StreamSink(std::ostream& os, std::string site_prefix)
       write_site_(site_prefix + ".write"),
       flush_site_(site_prefix + ".flush") {}
 
-void StreamSink::reset(std::ostream& os) { os_ = &os; }
-
 std::size_t StreamSink::write(const char* data, std::size_t n) {
   FailPoints& fp = FailPoints::Instance();
   if (fp.active()) {

@@ -1,7 +1,7 @@
-// Injectable append-only sink for the broker's durability seams.
+// Append-only sink for the broker's durability seams.
 //
 // The broker never writes a journal record or snapshot straight to a
-// std::ostream: it goes through a FileSink, so the failure modes of real
+// std::ostream: it goes through a StreamSink, so the failure modes of real
 // storage — short writes, torn tails, fsync errors, crashes mid-append —
 // can be injected deterministically at the named fail-point sites of
 // util/failpoint.h and the recovery/degradation paths tested without a
@@ -22,31 +22,20 @@
 
 namespace pubsub {
 
-class FileSink {
- public:
-  virtual ~FileSink() = default;
-  // Append up to n bytes; returns the count accepted (<= n).
-  virtual std::size_t write(const char* data, std::size_t n) = 0;
-  // Make accepted bytes durable; false = flush failure.
-  virtual bool flush() = 0;
-};
-
-// FileSink over any std::ostream, consulting the fail-point registry at
+// Sink over any std::ostream, consulting the fail-point registry at
 // "<site_prefix>.write" and "<site_prefix>.flush" on every call:
 //   error at .write → short write of the fail point's ARG bytes
 //   error at .flush → flush() returns false
 //   torn  at .write → ARG bytes reach the stream, then InjectedCrash
 //   crash           → InjectedCrash before the operation
 // With the registry inactive this is a plain pass-through.
-class StreamSink : public FileSink {
+class StreamSink {
  public:
   explicit StreamSink(std::ostream& os, std::string site_prefix = "journal");
-  std::size_t write(const char* data, std::size_t n) override;
-  bool flush() override;
-
-  // Re-point at another stream (chaos kill/recover cycles reattach the
-  // surviving journal); fail-point sites are unchanged.
-  void reset(std::ostream& os);
+  // Append up to n bytes; returns the count accepted (<= n).
+  std::size_t write(const char* data, std::size_t n);
+  // Make accepted bytes durable; false = flush failure.
+  bool flush();
 
  private:
   std::ostream* os_;

@@ -192,13 +192,19 @@ void WriteGraph(std::ostream& os, const Graph& g) {
   }
 }
 
-Graph ReadGraph(std::istream& is) {
-  LineReader r(is);
+namespace {
+
+// The pubsub-graph grammar, read from `r` wherever the graph sits (alone,
+// or embedded in a transit-stub file), so errors carry the file's own line
+// numbers.  Counts and endpoints are range-checked as longs, before any
+// narrowing to int.
+Graph ParseGraph(LineReader& r) {
   r.expect(r.next(), "pubsub-graph v1");
   const auto nodes_line = SplitN(r, r.next(), 2);
   if (nodes_line[0] != "nodes") r.fail("expected 'nodes'");
   const long n = ParseLong(r, nodes_line[1]);
-  if (n < 0) r.fail("negative node count");
+  if (n < 0 || n > std::numeric_limits<int>::max())
+    r.fail("node count out of range");
   const auto edges_line = SplitN(r, r.next(), 2);
   if (edges_line[0] != "edges") r.fail("expected 'edges'");
   const long m = ParseLong(r, edges_line[1]);
@@ -210,9 +216,20 @@ Graph ReadGraph(std::istream& is) {
     const long v = ParseLong(r, toks[1]);
     const double cost = ParseDouble(r, toks[2]);
     if (u < 0 || u >= n || v < 0 || v >= n) r.fail("edge endpoint out of range");
-    g.add_edge(static_cast<NodeId>(u), static_cast<NodeId>(v), cost);
+    try {
+      g.add_edge(static_cast<NodeId>(u), static_cast<NodeId>(v), cost);
+    } catch (const std::invalid_argument& e) {
+      r.fail(e.what());  // a self-loop or a non-positive cost
+    }
   }
   return g;
+}
+
+}  // namespace
+
+Graph ReadGraph(std::istream& is) {
+  LineReader r(is);
+  return ParseGraph(r);
 }
 
 // ----------------------------------------------------------- TransitStub
@@ -240,24 +257,7 @@ TransitStubNetwork ReadTransitStub(std::istream& is) {
   LineReader r(is);
   r.expect(r.next(), "pubsub-transit-stub v1");
   TransitStubNetwork net;
-  {
-    // The embedded graph re-reads from the same stream; reuse the parser by
-    // collecting its lines is overkill — inline the same grammar.
-    r.expect(r.next(), "pubsub-graph v1");
-    const auto nodes_line = SplitN(r, r.next(), 2);
-    if (nodes_line[0] != "nodes") r.fail("expected 'nodes'");
-    const long n = ParseLong(r, nodes_line[1]);
-    const auto edges_line = SplitN(r, r.next(), 2);
-    if (edges_line[0] != "edges") r.fail("expected 'edges'");
-    const long m = ParseLong(r, edges_line[1]);
-    net.graph = Graph(static_cast<int>(n));
-    for (long i = 0; i < m; ++i) {
-      const auto toks = SplitN(r, r.next(), 3);
-      net.graph.add_edge(static_cast<NodeId>(ParseLong(r, toks[0])),
-                         static_cast<NodeId>(ParseLong(r, toks[1])),
-                         ParseDouble(r, toks[2]));
-    }
-  }
+  net.graph = ParseGraph(r);
   const int n = net.graph.num_nodes();
 
   auto counted = [&r](const char* key) {
@@ -325,22 +325,22 @@ void WriteWorkload(std::ostream& os, const Workload& wl) {
   }
 }
 
-std::uint64_t DigestWorkload(std::uint64_t h, const Workload& wl) {
-  const auto dbl = [](double x) { return std::bit_cast<std::uint64_t>(x); };
-  h = DigestWord(h, wl.space.dims());
-  for (std::size_t d = 0; d < wl.space.dims(); ++d) {
-    const std::string& name = wl.space.dim(d).name;
+std::uint64_t DigestSpace(std::uint64_t h, const EventSpace& space) {
+  h = DigestWord(h, space.dims());
+  for (std::size_t d = 0; d < space.dims(); ++d) {
+    const std::string& name = space.dim(d).name;
     h = DigestWord(h, name.size());
     for (const unsigned char c : name) h = DigestWord(h, c);
-    h = DigestWord(h, static_cast<std::uint64_t>(wl.space.dim(d).domain_size));
+    h = DigestWord(h, static_cast<std::uint64_t>(space.dim(d).domain_size));
   }
-  h = DigestWord(h, wl.subscribers.size());
-  for (const Subscriber& s : wl.subscribers) {
-    h = DigestWord(h, static_cast<std::uint64_t>(s.node));
-    for (const Interval& iv : s.interest.intervals()) {
-      h = DigestWord(h, dbl(iv.lo()));
-      h = DigestWord(h, dbl(iv.hi()));
-    }
+  return h;
+}
+
+std::uint64_t DigestSubscriber(std::uint64_t h, const Subscriber& s) {
+  h = DigestWord(h, static_cast<std::uint64_t>(s.node));
+  for (const Interval& iv : s.interest.intervals()) {
+    h = DigestWord(h, std::bit_cast<std::uint64_t>(iv.lo()));
+    h = DigestWord(h, std::bit_cast<std::uint64_t>(iv.hi()));
   }
   return h;
 }
@@ -735,7 +735,7 @@ JournalReadResult ReadJournalLenient(std::istream& is) {
 // ---------------------------------------------------------- fleet manifests
 
 namespace {
-constexpr char kManifestHeader[] = "pubsub-fleet-manifest v2";
+constexpr char kManifestHeader[] = "pubsub-fleet-manifest v3";
 }  // namespace
 
 void WriteFleetManifest(std::ostream& os, const FleetManifest& m) {
@@ -743,16 +743,9 @@ void WriteFleetManifest(std::ostream& os, const FleetManifest& m) {
   body << kManifestHeader << '\n';
   body << "seq " << m.seq << '\n';
   body << "chain " << m.match_chain << '\n';
-  body << "shards " << m.shards.size() << '\n';
-  for (std::size_t k = 0; k < m.shards.size(); ++k) {
-    const FleetManifestShard& s = m.shards[k];
-    body << "shard " << k << ' ' << s.seq << ' ' << s.global_ids.size() << '\n';
-    if (!s.global_ids.empty()) {
-      for (std::size_t i = 0; i < s.global_ids.size(); ++i)
-        body << (i == 0 ? "" : " ") << s.global_ids[i];
-      body << '\n';
-    }
-  }
+  body << "shards " << m.shard_seqs.size() << '\n';
+  for (std::size_t k = 0; k < m.shard_seqs.size(); ++k)
+    body << "shard " << k << ' ' << m.shard_seqs[k] << '\n';
   WriteChecksummed(os, body.str());
 }
 
@@ -786,24 +779,11 @@ FleetManifest ReadFleetManifest(std::istream& file) {
     num_shards = ParseLong(r, toks[1]);
     if (num_shards < 1) r.fail("fleet needs at least one shard");
   }
-  m.shards.resize(static_cast<std::size_t>(num_shards));
   for (long k = 0; k < num_shards; ++k) {
-    const auto toks = SplitN(r, r.next(), 4);
+    const auto toks = SplitN(r, r.next(), 3);
     if (toks[0] != "shard") r.fail("expected 'shard'");
     if (ParseLong(r, toks[1]) != k) r.fail("shard entries out of order");
-    FleetManifestShard& s = m.shards[static_cast<std::size_t>(k)];
-    s.seq = ParseCount(r, toks[2]);
-    const long slots = ParseLong(r, toks[3]);
-    if (slots < 0) r.fail("negative slot count");
-    if (slots > 0) {
-      const auto ids = SplitN(r, r.next(), static_cast<std::size_t>(slots));
-      s.global_ids.reserve(static_cast<std::size_t>(slots));
-      for (const std::string& tok : ids) {
-        const long id = ParseLong(r, tok);
-        if (id < 0) r.fail("negative global subscriber id");
-        s.global_ids.push_back(static_cast<SubscriberId>(id));
-      }
-    }
+    m.shard_seqs.push_back(ParseCount(r, toks[2]));
   }
   return m;
 }

@@ -36,7 +36,9 @@ namespace pubsub {
 void WriteGraph(std::ostream& os, const Graph& g);
 Graph ReadGraph(std::istream& is);
 
-// Transit-stub networks (graph + stub/block bookkeeping).
+// Transit-stub networks: a WriteGraph record, then the stub/block
+// bookkeeping.  The reader parses the embedded graph with ReadGraph's
+// grammar, so its errors carry the transit-stub file's line numbers.
 void WriteTransitStub(std::ostream& os, const TransitStubNetwork& net);
 TransitStubNetwork ReadTransitStub(std::istream& is);
 
@@ -44,17 +46,21 @@ TransitStubNetwork ReadTransitStub(std::istream& is);
 void WriteWorkload(std::ostream& os, const Workload& wl);
 Workload ReadWorkload(std::istream& is);
 
-// State digests (Broker::state_digest, FleetStateDigest) are a word-wise
-// FNV-1a: one xor-multiply per 64-bit field, starting at kDigestBasis.
+// State digests (Broker::state_digest and the fleet digest of
+// serve/fleet.h) are a word-wise FNV-1a: one xor-multiply per 64-bit field,
+// starting at kDigestBasis.
 inline constexpr std::uint64_t kDigestBasis = 1469598103934665603ull;
 inline std::uint64_t DigestWord(std::uint64_t h, std::uint64_t word) {
   return (h ^ word) * 1099511628211ull;
 }
-// Folds the fields WriteWorkload prints into digest state `h`: dimension
-// names and domain sizes, then each subscriber's node and interval bit
-// patterns.  WriteWorkload prints doubles exactly (max_digits10), so any
-// two workloads it prints differently fold different words.
-std::uint64_t DigestWorkload(std::uint64_t h, const Workload& wl);
+// Fold the fields WriteWorkload prints into digest state `h`: DigestSpace
+// the dimension names and domain sizes, DigestSubscriber one subscriber's
+// node and interval bit patterns.  WriteWorkload prints doubles exactly
+// (max_digits10), so any two tables it prints differently fold different
+// words.  A table digest is DigestSpace, the subscriber count, then
+// DigestSubscriber per row in id order.
+std::uint64_t DigestSpace(std::uint64_t h, const EventSpace& space);
+std::uint64_t DigestSubscriber(std::uint64_t h, const Subscriber& s);
 
 // ------------------------------------------------------------- clusterings
 // A grid clustering artifact: K plus the assignment of the grid's
@@ -137,21 +143,17 @@ JournalReadResult ReadJournalLenient(std::istream& is);
 
 // ---------------------------------------------------------- fleet durability
 // Manifest of a sharded BrokerFleet checkpoint (src/serve/fleet.h): the
-// fleet sequence number and match chain at capture, plus — per shard — the
-// shard broker's sequence number and the local-slot → global-id map
-// (tombstoned slots included; slots are never reused).  The manifest plus
-// one refresh-boundary BrokerSnapshot and one journal per shard, plus the
-// fleet-level journal tail, is the complete fleet recovery recipe.  The
-// format is v2, checksummed by the same trailer as a snapshot.
-struct FleetManifestShard {
-  std::uint64_t seq = 0;                 // shard broker seq at capture
-  std::vector<SubscriberId> global_ids;  // local slot -> global subscriber id
-};
-
+// fleet sequence number and match chain at capture, plus each shard
+// broker's sequence number.  The id maps are not stored: the partition rule
+// and each shard's slot count determine them.  The manifest plus one
+// refresh-boundary snapshot and one journal per shard, plus the fleet-level
+// journal tail, is the complete fleet recovery recipe.  The format is v3,
+// checksummed by the same trailer as a snapshot; the reader rejects any
+// other version (v2 stored the id maps too) as a bad header.
 struct FleetManifest {
   std::uint64_t seq = 0;          // fleet seq at capture
   std::uint64_t match_chain = 0;  // rolling digest of merged interested sets
-  std::vector<FleetManifestShard> shards;
+  std::vector<std::uint64_t> shard_seqs;  // shard broker seq at capture
 };
 
 void WriteFleetManifest(std::ostream& os, const FleetManifest& m);

@@ -1,6 +1,7 @@
 #include "net/graph.h"
 
 #include <stdexcept>
+#include <string>
 
 namespace pubsub {
 
@@ -11,6 +12,13 @@ Graph::Graph(int num_nodes) : adj_(static_cast<std::size_t>(num_nodes)) {
 NodeId Graph::add_node() {
   adj_.emplace_back();
   return num_nodes() - 1;
+}
+
+void Graph::check_node(NodeId v, const char* who) const {
+  if (v < 0 || v >= num_nodes())
+    throw std::out_of_range(std::string(who) + ": node " + std::to_string(v) +
+                            " is outside the network (" +
+                            std::to_string(num_nodes()) + " nodes)");
 }
 
 EdgeId Graph::add_edge(NodeId u, NodeId v, double cost) {

@@ -30,6 +30,8 @@ class Graph {
 
   int num_nodes() const { return static_cast<int>(adj_.size()); }
   int num_edges() const { return static_cast<int>(edges_.size()); }
+  // Throws std::out_of_range, prefixed by `who`, unless v is a node here.
+  void check_node(NodeId v, const char* who) const;
 
   NodeId add_node();
   // Adds an undirected edge; returns its id.  Self-loops and non-positive

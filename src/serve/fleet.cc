@@ -9,16 +9,6 @@
 #include "util/thread_pool.h"
 
 namespace pubsub {
-namespace {
-
-// The tombstone GroupManager writes on remove: one default (empty)
-// interval per dimension.  The logical mirror must reproduce it exactly or
-// the fleet digest diverges from the oracle on the first unsubscribe.
-Rect TombstoneRect(std::size_t dims) {
-  return Rect(std::vector<Interval>(dims, Interval()));
-}
-
-}  // namespace
 
 std::size_t FleetShardOf(SubscriberId global_id, std::size_t num_shards) {
   // splitmix64 finalizer: stable in the id, so growing the population or
@@ -46,11 +36,25 @@ std::uint64_t FleetChainFold(std::uint64_t chain, std::uint64_t seq,
   return h;
 }
 
-std::uint64_t FleetStateDigest(std::uint64_t seq, const Workload& logical,
-                               std::uint64_t match_chain) {
-  const std::uint64_t h = DigestWord(DigestWord(kDigestBasis, seq), match_chain);
-  return DigestWorkload(h, logical);
+namespace {
+
+// The shard-count-invariant fleet digest: word-wise FNV-1a over the fleet
+// seq, the match chain and the subscription table in global-id order,
+// `row(g)` reading global id g's row from whichever table holds it.  The
+// fleet and FleetOracle both digest through here, so equal digests at
+// equal seq mean identical future match decisions at any shard count.
+template <typename Row>
+std::uint64_t FleetStateDigest(std::uint64_t seq, std::uint64_t match_chain,
+                               const EventSpace& space, std::size_t count,
+                               Row row) {
+  std::uint64_t h = DigestWord(DigestWord(kDigestBasis, seq), match_chain);
+  h = DigestSpace(h, space);
+  h = DigestWord(h, count);
+  for (std::size_t g = 0; g < count; ++g) h = DigestSubscriber(h, row(g));
+  return h;
 }
+
+}  // namespace
 
 // ----------------------------------------------------------- construction
 
@@ -58,24 +62,15 @@ BrokerFleet::BrokerFleet(Workload initial, const PublicationModel& pub,
                          const Graph& network, const FleetOptions& options,
                          ManualClock* clock)
     : BrokerFleet(RestoreTag{}, pub, network, options, clock) {
-  logical_ = std::move(initial);
-  const std::size_t n = shards_.size();
-  std::vector<Workload> parts(n);
-  for (Workload& p : parts) p.space = logical_.space;
-  global_to_local_.resize(logical_.num_subscribers());
-  alive_.assign(logical_.num_subscribers(), 0);
-  for (std::size_t g = 0; g < logical_.num_subscribers(); ++g) {
-    const std::size_t k = FleetShardOf(static_cast<SubscriberId>(g), n);
-    global_to_local_[g] =
-        static_cast<SubscriberId>(parts[k].subscribers.size());
-    local_to_global_[k].push_back(static_cast<SubscriberId>(g));
-    parts[k].subscribers.push_back(logical_.subscribers[g]);
-    alive_[g] = logical_.subscribers[g].interest.empty() ? 0 : 1;
-    live_count_ += alive_[g];
+  map_subscribers(initial.num_subscribers());
+  for (std::size_t k = 0; k < shards_.size(); ++k) {
+    Workload part;
+    part.space = initial.space;
+    for (const SubscriberId g : local_to_global_[k])
+      part.subscribers.push_back(std::move(initial.subscribers[g]));
+    shards_[k] = std::make_unique<Broker>(std::move(part), *pub_, *network_,
+                                          shard_options(), clock_);
   }
-  for (std::size_t k = 0; k < n; ++k)
-    shards_[k] = std::make_unique<Broker>(std::move(parts[k]), *pub_,
-                                          *network_, shard_options(), clock_);
   update_gauges();
 }
 
@@ -99,6 +94,18 @@ BrokerFleet::BrokerFleet(RestoreTag, const PublicationModel& pub,
 }
 
 BrokerFleet::~BrokerFleet() = default;
+
+void BrokerFleet::map_subscribers(std::size_t total) {
+  // Global ids are handed out in order, and each takes the next slot of its
+  // home shard.
+  for (std::size_t g = global_to_local_.size(); g < total; ++g) {
+    std::vector<SubscriberId>& slots =
+        local_to_global_[FleetShardOf(static_cast<SubscriberId>(g),
+                                      shards_.size())];
+    global_to_local_.push_back(static_cast<SubscriberId>(slots.size()));
+    slots.push_back(static_cast<SubscriberId>(g));
+  }
+}
 
 BrokerOptions BrokerFleet::shard_options() const {
   BrokerOptions o = options_.broker;
@@ -185,27 +192,31 @@ void BrokerFleet::validate(const JournalRecord& rec) const {
     throw std::runtime_error(
         "BrokerFleet::apply: out-of-order record (expected seq " +
         std::to_string(seq_ + 1) + ", got " + std::to_string(rec.seq) + ")");
-  // Mirror Broker::validate_churn at the fleet boundary: an unknown-id
-  // command must fail before the write-ahead append, or the fleet journal
-  // carries a record replay can never apply.
+  // Mirror Broker::validate_command at the fleet boundary: a command a
+  // shard would reject must fail before the write-ahead append, or the
+  // fleet journal carries a record replay can never apply.
   if (rec.cmd.type == BrokerCommandType::kUnsubscribe ||
       rec.cmd.type == BrokerCommandType::kUpdate) {
     if (rec.cmd.subscriber < 0 ||
-        static_cast<std::size_t>(rec.cmd.subscriber) >=
-            logical_.num_subscribers())
+        static_cast<std::size_t>(rec.cmd.subscriber) >= num_subscribers())
       throw std::out_of_range("BrokerFleet: unknown subscriber id " +
                               std::to_string(rec.cmd.subscriber));
+  } else {
+    network_->check_node(rec.cmd.node, "BrokerFleet");
   }
 }
 
 void BrokerFleet::journal_fleet_record(const JournalRecord& rec) {
   if (fleet_journal_ == nullptr) return;
   record_stream_.reset();
-  WriteJournalRecord(record_stream_, rec, logical_.space.dims());
+  WriteJournalRecord(record_stream_, rec, dims());
   const std::string& text = record_stream_.str();
   fleet_journal_->write(text.data(),
                         static_cast<std::streamsize>(text.size()));
   fleet_journal_->flush();
+  if (!*fleet_journal_)
+    throw std::runtime_error("BrokerFleet: fleet journal write failed at seq " +
+                             std::to_string(rec.seq));
 }
 
 FleetPublishOutcome BrokerFleet::apply(const JournalRecord& rec) {
@@ -235,9 +246,9 @@ void BrokerFleet::route_churn(const JournalRecord& rec) {
   std::size_t k = 0;
   JournalRecord srec = rec;
   if (rec.cmd.type == BrokerCommandType::kSubscribe) {
-    // The new global id is the next logical slot; its hash picks the home
-    // shard, where it lands in the next local slot.
-    k = FleetShardOf(static_cast<SubscriberId>(logical_.num_subscribers()), n);
+    // The new global id is the next one; its hash picks the home shard,
+    // where it lands in the next local slot.
+    k = FleetShardOf(static_cast<SubscriberId>(num_subscribers()), n);
   } else {
     k = FleetShardOf(rec.cmd.subscriber, n);
     srec.cmd.subscriber = global_to_local_[rec.cmd.subscriber];
@@ -265,41 +276,10 @@ void BrokerFleet::route_churn(const JournalRecord& rec) {
 }
 
 void BrokerFleet::finish_churn(const JournalRecord& rec) {
-  // The logical mirror replays GroupManager's exact mutation semantics
-  // (append / raw replace / tombstone, slots never reused) so the fleet
-  // digest compares byte-identically with the single-broker oracle.
-  switch (rec.cmd.type) {
-    case BrokerCommandType::kSubscribe: {
-      const SubscriberId g =
-          static_cast<SubscriberId>(logical_.num_subscribers());
-      const std::size_t k = FleetShardOf(g, shards_.size());
-      global_to_local_.push_back(
-          static_cast<SubscriberId>(local_to_global_[k].size()));
-      local_to_global_[k].push_back(g);
-      logical_.subscribers.push_back(Subscriber{rec.cmd.node, rec.cmd.interest});
-      const char live = rec.cmd.interest.empty() ? 0 : 1;
-      alive_.push_back(live);
-      live_count_ += live;
-      break;
-    }
-    case BrokerCommandType::kUnsubscribe: {
-      const SubscriberId g = rec.cmd.subscriber;
-      logical_.subscribers[g].interest = TombstoneRect(logical_.space.dims());
-      live_count_ -= alive_[g];
-      alive_[g] = 0;
-      break;
-    }
-    case BrokerCommandType::kUpdate: {
-      const SubscriberId g = rec.cmd.subscriber;
-      logical_.subscribers[g].interest = rec.cmd.interest;
-      const char live = rec.cmd.interest.empty() ? 0 : 1;
-      live_count_ += live - alive_[g];
-      alive_[g] = live;
-      break;
-    }
-    case BrokerCommandType::kPublish:
-      break;  // finish_publish
-  }
+  // The home shard holds the change; a subscribe also took the next global
+  // id, whose slot the partition rule names.
+  if (rec.cmd.type == BrokerCommandType::kSubscribe)
+    map_subscribers(num_subscribers() + 1);
   seq_ = rec.seq;
   Inc(c_commands_);
   Inc(c_churn_);
@@ -315,7 +295,7 @@ FleetPublishOutcome BrokerFleet::fan_out_publish(const JournalRecord& rec) {
     fan_recs_[k] = rec;
     fan_recs_[k].seq = shard_seq_[k] + 1;
   }
-  const std::size_t need = (logical_.num_subscribers() + 63) / 64;
+  const std::size_t need = (num_subscribers() + 63) / 64;
   if (words_.size() < need) words_.resize(need, 0);
   word_lo_ = words_.size();
   word_hi_ = 0;
@@ -498,8 +478,21 @@ bool BrokerFleet::heal() {
 
 // ------------------------------------------------------------------ state
 
+std::size_t BrokerFleet::live_subscribers() const {
+  std::size_t live = 0;
+  for (const std::unique_ptr<Broker>& shard : shards_)
+    live += shard->live_subscribers();
+  return live;
+}
+
 std::uint64_t BrokerFleet::state_digest() const {
-  return FleetStateDigest(seq_, logical_, match_chain_);
+  return FleetStateDigest(
+      seq_, match_chain_, shards_[0]->workload().space, num_subscribers(),
+      [this](std::size_t g) -> const Subscriber& {
+        const std::size_t k =
+            FleetShardOf(static_cast<SubscriberId>(g), shards_.size());
+        return shards_[k]->workload().subscribers[global_to_local_[g]];
+      });
 }
 
 std::vector<SubscriberId> BrokerFleet::interested(const Point& event) const {
@@ -517,8 +510,11 @@ std::vector<SubscriberId> BrokerFleet::interested(const Point& event) const {
 
 void BrokerFleet::set_fleet_journal(std::ostream* sink, bool write_header) {
   fleet_journal_ = sink;
-  if (sink != nullptr && write_header)
-    WriteJournalHeader(*sink, logical_.space.dims());
+  if (sink == nullptr || !write_header) return;
+  WriteJournalHeader(*sink, dims());
+  sink->flush();
+  if (!*sink)
+    throw std::runtime_error("BrokerFleet: fleet journal header write failed");
 }
 
 void BrokerFleet::set_shard_journal(std::size_t k, std::ostream* sink,
@@ -526,24 +522,18 @@ void BrokerFleet::set_shard_journal(std::size_t k, std::ostream* sink,
   shards_[k]->set_journal(sink, write_header);
 }
 
-FleetCheckpoint BrokerFleet::checkpoint() const {
+FleetManifest BrokerFleet::checkpoint() const {
   // A stalled fleet is partially applied: some shards already hold the
   // pending record, the fleet seq does not.  A manifest cut there would
   // double-apply the record on replay — refuse instead (the serve loop
   // skips checkpoints while stalled).
   if (pending_active_)
     throw std::logic_error("BrokerFleet::checkpoint: fleet is stalled");
-  FleetCheckpoint cp;
-  cp.manifest.seq = seq_;
-  cp.manifest.match_chain = match_chain_;
-  cp.manifest.shards.resize(shards_.size());
-  cp.shard_snapshots.resize(shards_.size());
-  for (std::size_t k = 0; k < shards_.size(); ++k) {
-    cp.manifest.shards[k].seq = shard_seq_[k];
-    cp.manifest.shards[k].global_ids = local_to_global_[k];
-    cp.shard_snapshots[k] = shards_[k]->snapshot();
-  }
-  return cp;
+  FleetManifest m;
+  m.seq = seq_;
+  m.match_chain = match_chain_;
+  m.shard_seqs = shard_seq_;
+  return m;
 }
 
 std::unique_ptr<BrokerFleet> BrokerFleet::Recover(
@@ -552,7 +542,7 @@ std::unique_ptr<BrokerFleet> BrokerFleet::Recover(
     const std::vector<std::vector<JournalRecord>>& shard_journals,
     const PublicationModel& pub, const Graph& network,
     const FleetOptions& options, ManualClock* clock) {
-  const std::size_t n = manifest.shards.size();
+  const std::size_t n = manifest.shard_seqs.size();
   if (n == 0)
     throw std::invalid_argument("BrokerFleet::Recover: empty manifest");
   if (shard_snapshots.size() != n || shard_journals.size() != n)
@@ -573,51 +563,31 @@ std::unique_ptr<BrokerFleet> BrokerFleet::Recover(
     // the serve loop's to replay through the fleet tail).
     std::vector<JournalRecord> recs;
     for (const JournalRecord& rec : shard_journals[k])
-      if (rec.seq <= manifest.shards[k].seq) recs.push_back(rec);
+      if (rec.seq <= manifest.shard_seqs[k]) recs.push_back(rec);
     std::unique_ptr<Broker> b =
         Broker::Recover(shard_snapshots[k], recs, pub, network,
                         fleet->shard_options(), fleet->clock_);
-    if (b->seq() != manifest.shards[k].seq)
+    if (b->seq() != manifest.shard_seqs[k])
       throw std::runtime_error(
           "BrokerFleet::Recover: shard " + std::to_string(k) +
           " reached seq " + std::to_string(b->seq()) + ", manifest says " +
-          std::to_string(manifest.shards[k].seq));
-    if (manifest.shards[k].global_ids.size() !=
-        b->workload().num_subscribers())
-      throw std::runtime_error(
-          "BrokerFleet::Recover: shard " + std::to_string(k) + " holds " +
-          std::to_string(b->workload().num_subscribers()) +
-          " slots, manifest maps " +
-          std::to_string(manifest.shards[k].global_ids.size()));
+          std::to_string(manifest.shard_seqs[k]));
+    total += b->workload().num_subscribers();
     fleet->shard_seq_[k] = b->seq();
-    fleet->local_to_global_[k] = manifest.shards[k].global_ids;
     fleet->shards_[k] = std::move(b);
-    total += manifest.shards[k].global_ids.size();
   }
 
-  // Rebuild the logical table by scattering each shard's slots through its
-  // local→global map; the partition must agree with FleetShardOf or the
-  // manifest is corrupt.
-  fleet->logical_.space = shard_snapshots[0].workload.space;
-  fleet->logical_.subscribers.assign(total, Subscriber{});
-  fleet->global_to_local_.assign(total, -1);
+  // The partition rule rebuilds the id maps from the total, and every
+  // shard must hold exactly the slots it gives that shard.
+  fleet->map_subscribers(total);
   for (std::size_t k = 0; k < n; ++k) {
-    for (std::size_t lid = 0; lid < fleet->local_to_global_[k].size(); ++lid) {
-      const SubscriberId g = fleet->local_to_global_[k][lid];
-      if (g < 0 || static_cast<std::size_t>(g) >= total ||
-          FleetShardOf(g, n) != k || fleet->global_to_local_[g] != -1)
-        throw std::runtime_error(
-            "BrokerFleet::Recover: manifest shard " + std::to_string(k) +
-            " maps an invalid or duplicate global id " + std::to_string(g));
-      fleet->global_to_local_[g] = static_cast<SubscriberId>(lid);
-      fleet->logical_.subscribers[g] =
-          fleet->shards_[k]->workload().subscribers[lid];
-    }
-  }
-  fleet->alive_.assign(total, 0);
-  for (std::size_t g = 0; g < total; ++g) {
-    fleet->alive_[g] = fleet->logical_.subscribers[g].interest.empty() ? 0 : 1;
-    fleet->live_count_ += fleet->alive_[g];
+    const std::size_t held = fleet->shards_[k]->workload().num_subscribers();
+    if (held != fleet->local_to_global_[k].size())
+      throw std::runtime_error(
+          "BrokerFleet::Recover: shard " + std::to_string(k) + " holds " +
+          std::to_string(held) + " slots, the partition of " +
+          std::to_string(total) + " gives it " +
+          std::to_string(fleet->local_to_global_[k].size()));
   }
   fleet->seq_ = manifest.seq;
   fleet->match_chain_ = manifest.match_chain;
@@ -630,7 +600,7 @@ std::unique_ptr<BrokerFleet> BrokerFleet::Recover(
 void BrokerFleet::update_gauges() {
   Set(g_shards_, static_cast<double>(shards_.size()));
   Set(g_seq_, static_cast<double>(seq_));
-  Set(g_live_, static_cast<double>(live_count_));
+  Set(g_live_, static_cast<double>(live_subscribers()));
   Set(g_stalled_, pending_active_ ? 1.0 : 0.0);
   for (std::size_t k = 0; k < shards_.size(); ++k) {
     Set(g_shard_seq_[k], static_cast<double>(shard_seq_[k]));
@@ -717,7 +687,12 @@ void FleetOracle::apply(const JournalRecord& rec) {
 }
 
 std::uint64_t FleetOracle::state_digest() const {
-  return FleetStateDigest(broker_.seq(), broker_.workload(), chain_);
+  const Workload& table = broker_.workload();
+  return FleetStateDigest(broker_.seq(), chain_, table.space,
+                          table.num_subscribers(),
+                          [&table](std::size_t g) -> const Subscriber& {
+                            return table.subscribers[g];
+                          });
 }
 
 }  // namespace pubsub

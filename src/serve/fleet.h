@@ -12,24 +12,29 @@
 // from it — depends only on the subscription state, not on shard count or
 // fan-out scheduling.
 //
+// The shards are the only holders of subscription state.  The fleet keeps
+// the two id maps, and nothing else it could not recompute: global ids are
+// handed out in order and each takes the next slot of its home shard, so
+// the partition rule and the subscriber count determine both maps.
+//
 // Determinism contract (pinned by tests/test_fleet.cc): at any shard
 // count, the fleet's state digest is bit-identical to FleetOracle — a
 // single broker driven by the same command stream — at every sequence
-// number.  The digest covers the fleet seq, the logical subscription table
-// (mirrored with GroupManager's exact mutation semantics: append,
-// raw-interest update, empty-rect tombstone) and a rolling match chain
-// folding every publish's merged interested set.  Per-shard clustering and
-// queue state are deliberately outside the digest: they depend on how the
-// population is split (each shard clusters its own partition), which is
-// the point of sharding, not a divergence.
+// number.  The digest covers the fleet seq, the subscription table (read
+// from the shards' own tables in global-id order) and a rolling match
+// chain folding every publish's merged interested set.  Per-shard
+// clustering and queue state are deliberately outside the digest: they
+// depend on how the population is split (each shard clusters its own
+// partition), which is the point of sharding, not a divergence.
 //
 // Durability is the clone pattern applied twice (DESIGN.md §11):
 //   * each shard is an ordinary durable Broker — refresh-boundary snapshot
-//     + its own write-ahead journal of re-stamped local records;
+//     (Broker::write_snapshot) + its own write-ahead journal of re-stamped
+//     local records;
 //   * the fleet itself journals the global command stream and checkpoints
-//     a FleetManifest (fleet seq, match chain, per-shard seq and
-//     local→global maps); manifest + shard snapshots + shard journals
-//     rebuild the fleet, and the fleet journal tail replays forward.
+//     a FleetManifest (fleet seq, match chain, per-shard seq); manifest +
+//     shard snapshots + shard journals rebuild the fleet, and the fleet
+//     journal tail replays forward.
 // That is the only way a fleet or a shard is rebuilt (Recover below).
 //
 // Degraded mode composes: when a shard's journal loses durability
@@ -85,13 +90,6 @@ struct FleetPublishOutcome {
   std::size_t shards_matched = 0;  // shards contributing >= 1 subscriber
 };
 
-// Durable fleet checkpoint: the manifest plus one refresh-boundary
-// snapshot per shard (see io/serialize.h for the file naming).
-struct FleetCheckpoint {
-  FleetManifest manifest;
-  std::vector<BrokerSnapshot> shard_snapshots;
-};
-
 // Home shard of a global subscriber id: splitmix64(id) mod num_shards.
 // Stable in the id (growing the population never remaps existing
 // subscribers) and independent of churn history.
@@ -102,13 +100,6 @@ std::size_t FleetShardOf(SubscriberId global_id, std::size_t num_shards);
 // match decision without storing any of them.
 std::uint64_t FleetChainFold(std::uint64_t chain, std::uint64_t seq,
                              std::span<const SubscriberId> interested);
-
-// The shard-count-invariant fleet digest: word-wise FNV-1a over the fleet
-// seq, the match chain and the logical subscription table's raw fields.
-// Equal digests at equal seq mean identical future match decisions at any
-// shard count.
-std::uint64_t FleetStateDigest(std::uint64_t seq, const Workload& logical,
-                               std::uint64_t match_chain);
 
 class BrokerFleet {
  public:
@@ -121,10 +112,12 @@ class BrokerFleet {
   ~BrokerFleet();
 
   // Recovery: rebuild every shard from its snapshot + journal (truncated
-  // to the manifest's per-shard seq), re-derive the logical table from the
-  // manifest's local→global maps, and resume at the manifest's fleet seq.
-  // The caller replays the fleet journal tail through apply() afterwards —
-  // with sinks attached, so the replay regenerates the same durable bytes.
+  // to the manifest's per-shard seq), re-derive the id maps from the
+  // shards' total slot count, and resume at the manifest's fleet seq.
+  // Throws std::runtime_error naming the shard when a shard misses its
+  // manifest seq or holds other than its share of the slots.  The caller
+  // replays the fleet journal tail through apply() afterwards — with sinks
+  // attached, so the replay regenerates the same durable bytes.
   static std::unique_ptr<BrokerFleet> Recover(
       const FleetManifest& manifest,
       std::span<const BrokerSnapshot> shard_snapshots,
@@ -135,7 +128,10 @@ class BrokerFleet {
   // --- command API ------------------------------------------------------
   // Apply an already-sequenced *fleet* record (global ids, fleet seq):
   // must carry seq() + 1.  Write-ahead to the fleet journal, then routed /
-  // fanned out to the shards as re-stamped local records.  Throws
+  // fanned out to the shards as re-stamped local records.  A record naming
+  // an unknown subscriber or a node outside the network throws before the
+  // journal, as does a failed fleet journal write (std::runtime_error): no
+  // shard sees the record and no seq is consumed.  Throws
   // FleetDegradedError when a shard degrades mid-record (the record is
   // then pending; call heal()).
   FleetPublishOutcome apply(const JournalRecord& rec);
@@ -155,10 +151,11 @@ class BrokerFleet {
   std::size_t num_shards() const { return shards_.size(); }
   const Broker& shard(std::size_t k) const { return *shards_[k]; }
   std::uint64_t shard_seq(std::size_t k) const { return shard_seq_[k]; }
-  // The logical (global) subscription table: byte-identical to the table a
-  // single broker fed the same stream would hold.
-  const Workload& workload() const { return logical_; }
-  std::size_t live_subscribers() const { return live_count_; }
+  // Global subscriber slots handed out (tombstones included): the slot
+  // count of the table a single broker fed the same stream would hold.
+  std::size_t num_subscribers() const { return global_to_local_.size(); }
+  // Sum of the shards' Broker::live_subscribers().
+  std::size_t live_subscribers() const;
   std::uint64_t match_chain() const { return match_chain_; }
   std::uint64_t state_digest() const;
   // Merged exact interested set (global ids, sorted): the cold read path,
@@ -169,12 +166,15 @@ class BrokerFleet {
   // Fleet-level journal of the global command stream (same file format as
   // the broker journal).  Plain stream, no fail-point wrapping: the
   // per-shard WALs are the durability seams under test; this is the
-  // routing log recovery replays forward.
+  // routing log recovery replays forward.  Throws std::runtime_error when
+  // the header write leaves the stream failed.
   void set_fleet_journal(std::ostream* sink, bool write_header = true);
   // Shard k's write-ahead journal (re-stamped local records).
   void set_shard_journal(std::size_t k, std::ostream* sink,
                          bool write_header = true);
-  FleetCheckpoint checkpoint() const;
+  // The manifest of a checkpoint; throws std::logic_error while stalled.
+  // The caller writes each shard's snapshot with shard(k).write_snapshot.
+  FleetManifest checkpoint() const;
 
   // --- telemetry --------------------------------------------------------
   MetricsRegistry& metrics() const { return *metrics_; }
@@ -207,6 +207,9 @@ class BrokerFleet {
 
   BrokerOptions shard_options() const;
   void init_obs(std::size_t num_shards);
+  // Extend both id maps to `total` global ids by the partition rule.
+  void map_subscribers(std::size_t total);
+  std::size_t dims() const { return shards_[0]->workload().space.dims(); }
   void validate(const JournalRecord& rec) const;
   void journal_fleet_record(const JournalRecord& rec);
   FleetPublishOutcome fan_out_publish(const JournalRecord& rec);
@@ -226,12 +229,9 @@ class BrokerFleet {
   std::vector<std::unique_ptr<Broker>> shards_;
   std::vector<std::uint64_t> shard_seq_;
 
-  // Logical (global) view: the id maps and the mirrored table.
-  Workload logical_;
+  // Id maps, derived from the partition rule (map_subscribers).
   std::vector<SubscriberId> global_to_local_;
   std::vector<std::vector<SubscriberId>> local_to_global_;
-  std::vector<char> alive_;  // non-tombstoned globals (gauge bookkeeping)
-  std::size_t live_count_ = 0;
 
   std::uint64_t seq_ = 0;
   std::uint64_t match_chain_ = 0;
@@ -296,8 +296,9 @@ std::vector<ShardAuditSample> CollectShardAudit(const BrokerFleet& fleet);
 
 // The single-broker oracle the fleet is measured against: one Broker fed
 // the same global stream, folding each publish's interested set into the
-// same match chain.  FleetStateDigest(oracle) == FleetStateDigest(fleet)
-// at every seq, for every shard count — the tentpole invariant.
+// same match chain.  Its state_digest() folds its table through the same
+// function as BrokerFleet::state_digest(), and the two are equal at every
+// seq, for every shard count — the tentpole invariant.
 class FleetOracle {
  public:
   FleetOracle(Workload initial, const PublicationModel& pub,

@@ -7,6 +7,8 @@ namespace pubsub {
 
 DeliverySimulator::DeliverySimulator(const Graph& network, const Workload& wl)
     : network_(&network), workload_(&wl), scratch_(network) {
+  for (const Subscriber& s : wl.subscribers)
+    network.check_node(s.node, "DeliverySimulator");
   const Rect domain = wl.space.domain_rect();
   std::vector<std::pair<Rect, int>> items;
   items.reserve(wl.subscribers.size());

@@ -35,6 +35,7 @@ namespace pubsub {
 
 class DeliverySimulator {
  public:
+  // Throws std::out_of_range when a subscriber's node is outside `network`.
   DeliverySimulator(const Graph& network, const Workload& wl);
 
   const Graph& network() const { return *network_; }

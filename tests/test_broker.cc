@@ -458,6 +458,51 @@ TEST(Broker, UnknownChurnTargetRejectedWithoutDesync) {
                std::out_of_range);
 }
 
+// A node id outside the network is rejected wherever one enters a broker:
+// the constructor, the restore path, and the pre-journal check for a
+// subscribe's node and a publish's origin.  A rejected command consumes no
+// seq and no journal byte, so no journal carries a record replay cannot
+// apply.
+TEST(Broker, NodeOutsideTheNetworkRejectedAtEveryEntry) {
+  BrokerFixture f;
+  const NodeId outside = 99999;
+  Workload bad = f.scenario.workload;
+  bad.subscribers[3].node = outside;
+  EXPECT_THROW(Broker(bad, *f.scenario.pub, f.scenario.net.graph,
+                      f.SmallOptions()),
+               std::out_of_range);
+
+  ManualClock clock;
+  Broker a = f.MakeBroker(f.SmallOptions(), &clock);
+  BrokerSnapshot snap = a.snapshot();
+  snap.workload.subscribers[3].node = outside;
+  EXPECT_THROW(Broker::Recover(snap, {}, *f.scenario.pub,
+                               f.scenario.net.graph, f.SmallOptions()),
+               std::out_of_range);
+
+  std::ostringstream journal;
+  a.set_journal(&journal);
+  clock.advance(1.0);
+  a.publish(f.events[0].pub.origin, f.events[0].pub.point);
+  const std::uint64_t seq_before = a.seq();
+  const std::uint64_t bytes_before = a.stats().journal_bytes;
+  const std::string journal_before = journal.str();
+  const Rect rect = a.workload().space.domain_rect();
+  EXPECT_THROW(a.subscribe(outside, rect), std::out_of_range);
+  EXPECT_THROW(a.subscribe(-1, rect), std::out_of_range);
+  EXPECT_THROW(a.publish(outside, f.events[0].pub.point), std::out_of_range);
+  JournalRecord rec;
+  rec.seq = a.seq() + 1;
+  rec.cmd.type = BrokerCommandType::kPublish;
+  rec.cmd.time_ms = a.last_command_time_ms() + 1.0;
+  rec.cmd.node = outside;
+  rec.cmd.point = f.events[0].pub.point;
+  EXPECT_THROW(a.apply(rec), std::out_of_range);
+  EXPECT_EQ(a.seq(), seq_before);
+  EXPECT_EQ(a.stats().journal_bytes, bytes_before);
+  EXPECT_EQ(journal.str(), journal_before);
+}
+
 // A snapshot holds the subscription table, not the covering table: a
 // recovered broker rebuilds its index from the table, so its layout (entry
 // ids, rider and child order) differs from that of the live broker, which

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace pubsub {
 namespace {
 
@@ -114,6 +116,14 @@ TEST(DeliverySimulator, WastedDeliveriesCountsUninterestedMembers) {
   EXPECT_EQ(DeliverySimulator::wasted_deliveries(d, interested), 2u);
   MatchDecision unicast_only;
   EXPECT_EQ(DeliverySimulator::wasted_deliveries(unicast_only, interested), 0u);
+}
+
+TEST(DeliverySimulator, RejectsASubscriberOutsideTheNetwork) {
+  StarFixture f;
+  f.wl.subscribers[2].node = 99999;
+  EXPECT_THROW(DeliverySimulator(f.graph, f.wl), std::out_of_range);
+  f.wl.subscribers[2].node = -1;
+  EXPECT_THROW(DeliverySimulator(f.graph, f.wl), std::out_of_range);
 }
 
 }  // namespace

@@ -102,11 +102,11 @@ void ExpectOracleParity(std::size_t shards) {
         << "seq " << rec.seq;
   }
   EXPECT_EQ(fleet.seq(), schedule.size());
-  // The logical table mirrors the oracle's slot-for-slot (tombstones
-  // included; live_subscribers counts only the non-tombstoned ones).
-  EXPECT_EQ(fleet.workload().num_subscribers(),
+  // Between them the shards hold the oracle's slots (tombstones included)
+  // and its live subscribers.
+  EXPECT_EQ(fleet.num_subscribers(),
             oracle.broker().workload().num_subscribers());
-  EXPECT_LE(fleet.live_subscribers(), fleet.workload().num_subscribers());
+  EXPECT_EQ(fleet.live_subscribers(), oracle.broker().live_subscribers());
 }
 
 TEST(Fleet, OracleParityOneShard) { ExpectOracleParity(1); }
@@ -147,22 +147,25 @@ TEST(FleetRecover, CheckpointRoundTripResumesBitIdentical) {
     fleet.set_shard_journal(k, &disks[k]);
 
   for (std::size_t i = 0; i < 100; ++i) fleet.apply(schedule[i]);
-  const FleetCheckpoint cp = fleet.checkpoint();
-  ASSERT_EQ(cp.manifest.seq, 100u);
-  ASSERT_EQ(cp.manifest.shards.size(), 3u);
+  const FleetManifest cp = fleet.checkpoint();
+  ASSERT_EQ(cp.seq, 100u);
+  ASSERT_EQ(cp.shard_seqs.size(), 3u);
+  // Each shard writes its own snapshot, as `serve` does.
+  std::vector<BrokerSnapshot> snaps;
+  for (std::size_t k = 0; k < 3; ++k) {
+    std::stringstream ss;
+    fleet.shard(k).write_snapshot(ss);
+    snaps.push_back(ReadBrokerSnapshot(ss));
+  }
 
   // The manifest survives serialization byte-exactly.
   std::ostringstream ms;
-  WriteFleetManifest(ms, cp.manifest);
+  WriteFleetManifest(ms, cp);
   std::istringstream mi(ms.str());
   const FleetManifest manifest = ReadFleetManifest(mi);
-  ASSERT_EQ(manifest.seq, cp.manifest.seq);
-  ASSERT_EQ(manifest.match_chain, cp.manifest.match_chain);
-  ASSERT_EQ(manifest.shards.size(), cp.manifest.shards.size());
-  for (std::size_t k = 0; k < 3; ++k) {
-    EXPECT_EQ(manifest.shards[k].seq, cp.manifest.shards[k].seq);
-    EXPECT_EQ(manifest.shards[k].global_ids, cp.manifest.shards[k].global_ids);
-  }
+  ASSERT_EQ(manifest.seq, cp.seq);
+  ASSERT_EQ(manifest.match_chain, cp.match_chain);
+  ASSERT_EQ(manifest.shard_seqs, cp.shard_seqs);
 
   // The live fleet keeps going past the checkpoint...
   for (std::size_t i = 100; i < schedule.size(); ++i) fleet.apply(schedule[i]);
@@ -172,12 +175,12 @@ TEST(FleetRecover, CheckpointRoundTripResumesBitIdentical) {
   shard_journals.reserve(3);
   for (std::size_t k = 0; k < 3; ++k)
     shard_journals.push_back(ParseJournal(disks[k].str()));
-  auto resumed = BrokerFleet::Recover(manifest, cp.shard_snapshots,
-                                      shard_journals, *sc.pub, sc.net.graph,
-                                      fopts);
+  auto resumed = BrokerFleet::Recover(manifest, snaps, shard_journals,
+                                      *sc.pub, sc.net.graph, fopts);
   ASSERT_EQ(resumed->seq(), 100u);
-  ASSERT_EQ(resumed->state_digest(),
-            FleetStateDigest(100, resumed->workload(), manifest.match_chain));
+  FleetOracle oracle(sc.workload, *sc.pub, sc.net.graph, fopts.broker);
+  for (std::size_t i = 0; i < 100; ++i) oracle.apply(schedule[i]);
+  ASSERT_EQ(resumed->state_digest(), oracle.state_digest());
 
   for (const JournalRecord& rec : ParseJournal(fleet_disk.str()))
     if (rec.seq > manifest.seq) resumed->apply(rec);
@@ -215,8 +218,96 @@ TEST(FleetRecover, CheckpointWhileStalledThrows) {
   ASSERT_TRUE(stalled);
   EXPECT_THROW(fleet.checkpoint(), std::logic_error);
   ASSERT_TRUE(fleet.heal());
-  const FleetCheckpoint cp = fleet.checkpoint();  // healthy again
-  EXPECT_EQ(cp.manifest.seq, fleet.seq());
+  const FleetManifest cp = fleet.checkpoint();  // healthy again
+  EXPECT_EQ(cp.seq, fleet.seq());
+}
+
+// Recovery derives the id maps from the partition rule and the shards'
+// total slot count, so a shard holding other than its share of the slots
+// (here: two shards' snapshots swapped) fails, naming the shard.
+TEST(FleetRecover, ShardHoldingAnotherShareThrowsNamingIt) {
+  const Scenario sc = MakeStockScenario(60, PublicationHotSpots::kOne, 91);
+  const FleetOptions fopts = SmallFleetOptions(2);
+  const BrokerFleet fleet(sc.workload, *sc.pub, sc.net.graph, fopts);
+  const FleetManifest manifest = fleet.checkpoint();  // seq 0 on both shards
+  std::vector<BrokerSnapshot> snaps{fleet.shard(1).snapshot(),
+                                    fleet.shard(0).snapshot()};
+  ASSERT_NE(snaps[0].workload.num_subscribers(),
+            snaps[1].workload.num_subscribers());
+  const std::vector<std::vector<JournalRecord>> journals(2);
+  try {
+    BrokerFleet::Recover(manifest, snaps, journals, *sc.pub, sc.net.graph,
+                         fopts);
+    ADD_FAILURE() << "swapped shard snapshots recovered";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("shard 0 holds"), std::string::npos)
+        << e.what();
+  }
+  std::swap(snaps[0], snaps[1]);
+  EXPECT_EQ(BrokerFleet::Recover(manifest, snaps, journals, *sc.pub,
+                                 sc.net.graph, fopts)
+                ->state_digest(),
+            fleet.state_digest());
+}
+
+// The fleet journal is the log `serve --resume` replays past the manifest:
+// a write that leaves its stream failed throws before any shard sees the
+// record, so no seq is consumed, fleet or shard.
+TEST(FleetJournal, FailedWriteThrowsBeforeAnyShardApplies) {
+  const Scenario sc = MakeStockScenario(50, PublicationHotSpots::kOne, 91);
+  const auto schedule = BuildChaosSchedule(sc.net, sc.workload, 40, 4, 7);
+  BrokerFleet fleet(sc.workload, *sc.pub, sc.net.graph, SmallFleetOptions(2));
+  std::ostringstream bad;
+  bad.setstate(std::ios::badbit);
+  EXPECT_THROW(fleet.set_fleet_journal(&bad), std::runtime_error);
+
+  std::ostringstream disk;
+  fleet.set_fleet_journal(&disk);
+  std::size_t i = 0;
+  for (const bool publish : {true, false}) {
+    while ((schedule[i].cmd.type == BrokerCommandType::kPublish) != publish)
+      fleet.apply(schedule[i++]);
+    const std::uint64_t digest = fleet.state_digest();
+    const std::uint64_t seq0 = fleet.shard(0).seq();
+    const std::uint64_t seq1 = fleet.shard(1).seq();
+    disk.setstate(std::ios::badbit);
+    EXPECT_THROW(fleet.apply(schedule[i]), std::runtime_error)
+        << "seq " << schedule[i].seq;
+    EXPECT_EQ(fleet.seq(), schedule[i].seq - 1);
+    EXPECT_EQ(fleet.shard(0).seq(), seq0);
+    EXPECT_EQ(fleet.shard(1).seq(), seq1);
+    EXPECT_EQ(fleet.state_digest(), digest);
+    disk.clear();
+    fleet.apply(schedule[i++]);  // the same record applies to a good stream
+  }
+}
+
+// A subscribe or publish at a node outside the network fails before the
+// fleet journal, as does a fleet whose initial workload holds one.
+TEST(FleetJournal, NodeOutsideTheNetworkRejectedBeforeTheJournal) {
+  const Scenario sc = MakeStockScenario(50, PublicationHotSpots::kOne, 91);
+  const auto schedule = BuildChaosSchedule(sc.net, sc.workload, 40, 4, 7);
+  Workload bad = sc.workload;
+  bad.subscribers[7].node = 99999;
+  EXPECT_THROW(BrokerFleet(bad, *sc.pub, sc.net.graph, SmallFleetOptions(2)),
+               std::out_of_range);
+
+  BrokerFleet fleet(sc.workload, *sc.pub, sc.net.graph, SmallFleetOptions(2));
+  std::ostringstream disk;
+  fleet.set_fleet_journal(&disk);
+  const std::string header = disk.str();
+  JournalRecord pub = schedule[0];
+  ASSERT_EQ(pub.cmd.type, BrokerCommandType::kPublish);
+  pub.cmd.node = 99999;
+  EXPECT_THROW(fleet.apply(pub), std::out_of_range);
+  JournalRecord sub = pub;
+  sub.cmd.type = BrokerCommandType::kSubscribe;
+  sub.cmd.node = -1;
+  sub.cmd.interest = sc.workload.space.domain_rect();
+  EXPECT_THROW(fleet.apply(sub), std::out_of_range);
+  EXPECT_EQ(fleet.seq(), 0u);
+  EXPECT_EQ(fleet.shard(0).seq() + fleet.shard(1).seq(), 0u);
+  EXPECT_EQ(disk.str(), header);
 }
 
 // Degraded-shard stall and heal: the record left pending on the degraded

@@ -170,6 +170,28 @@ TEST(Serialize, RejectsOutOfRangeEdge) {
   EXPECT_THROW(ReadGraph(is), std::runtime_error);
 }
 
+// A transit-stub file's embedded graph is parsed with ReadGraph's grammar:
+// an endpoint past int's range is not narrowed into a valid node, and a
+// negative one fails on its own line rather than inside Graph::add_edge.
+TEST(Serialize, TransitStubRejectsOutOfRangeEdgeAtItsLine) {
+  Rng rng(2);
+  std::ostringstream os;
+  WriteTransitStub(os, GenerateTransitStub(PaperNetSection5(), rng));
+  const std::string full = os.str();
+  // Lines 1-4 are the two headers and the node and edge counts; line 5 is
+  // the first edge.
+  std::size_t line5 = 0;
+  for (int i = 0; i < 4; ++i) line5 = full.find('\n', line5) + 1;
+  const std::size_t end5 = full.find('\n', line5);
+  for (const std::string edge : {"4294967297 2 1.0", "-3 1 1.0"}) {
+    std::string text = full;
+    text.replace(line5, end5 - line5, edge);
+    EXPECT_NE(ErrorOf(ReadTransitStub, text).find("parse error at line 5"),
+              std::string::npos)
+        << edge;
+  }
+}
+
 TEST(Serialize, RejectsMalformedNumbers) {
   std::istringstream is("pubsub-graph v1\nnodes 2\nedges 1\n0 1 abc\n");
   EXPECT_THROW(ReadGraph(is), std::runtime_error);
@@ -504,10 +526,7 @@ FleetManifest SampleManifest() {
   FleetManifest m;
   m.seq = 57;
   m.match_chain = 0xfedcba9876543210ull;  // needs the full unsigned range
-  m.shards.resize(2);
-  m.shards[0].seq = 31;
-  m.shards[0].global_ids = {0, 2, 5};
-  m.shards[1].seq = 26;  // an empty shard writes no id line
+  m.shard_seqs = {31, 26};
   return m;
 }
 
@@ -522,9 +541,7 @@ TEST(Serialize, FleetManifestRejectsDamage) {
   const FleetManifest back = ReadFleetManifest(is);
   EXPECT_EQ(back.seq, 57u);
   EXPECT_EQ(back.match_chain, 0xfedcba9876543210ull);
-  ASSERT_EQ(back.shards.size(), 2u);
-  EXPECT_EQ(back.shards[0].global_ids, (std::vector<SubscriberId>{0, 2, 5}));
-  EXPECT_EQ(back.shards[1].seq, 26u);
+  EXPECT_EQ(back.shard_seqs, (std::vector<std::uint64_t>{31, 26}));
 
   const auto damaged = [&full](const std::string& from, const std::string& to) {
     std::string text = full;
@@ -535,18 +552,21 @@ TEST(Serialize, FleetManifestRejectsDamage) {
   // around to 2^64 - n.
   EXPECT_NE(error_of(Reseal(damaged("seq 57", "seq -1"))).find("negative"),
             std::string::npos);
-  EXPECT_NE(error_of(Reseal(damaged("shard 0 31 3", "shard 0 -3 3")))
+  EXPECT_NE(error_of(Reseal(damaged("shard 0 31", "shard 0 -3")))
                 .find("negative"),
             std::string::npos);
-  EXPECT_NE(error_of(Reseal(damaged("shard 1 26 0", "shard 0 26 0")))
+  EXPECT_NE(error_of(Reseal(damaged("shard 1 26", "shard 0 26")))
                 .find("shard entries out of order"),
             std::string::npos);
-  // The pre-checksum v1 format fails as a bad header.
-  EXPECT_NE(error_of(damaged("manifest v2", "manifest v1"))
-                .find("expected 'pubsub-fleet-manifest v2'"),
-            std::string::npos);
+  // The pre-checksum v1 format and v2, which stored the id maps, fail as a
+  // bad header.
+  for (const char* old_header : {"manifest v1", "manifest v2"})
+    EXPECT_NE(error_of(damaged("manifest v3", old_header))
+                  .find("expected 'pubsub-fleet-manifest v3'"),
+              std::string::npos)
+        << old_header;
   // Any unresealed change, and a damaged trailer, fail the checksum.
-  EXPECT_NE(error_of(damaged("shard 0 31 3", "shard 0 30 3"))
+  EXPECT_NE(error_of(damaged("shard 0 31", "shard 0 30"))
                 .find("checksum mismatch"),
             std::string::npos);
   std::string bad_trailer = full;

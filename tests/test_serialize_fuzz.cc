@@ -213,12 +213,8 @@ std::string SampleBrokerFiles(std::uint64_t seed, BrokerFile kind) {
     FleetManifest m;
     m.seq = rng() % 1000;
     m.match_chain = rng();
-    m.shards.resize(1 + rng() % 4);
-    for (FleetManifestShard& shard : m.shards) {
-      shard.seq = rng() % 500;
-      for (std::uint64_t i = rng() % 12; i > 0; --i)
-        shard.global_ids.push_back(static_cast<SubscriberId>(rng() % 100));
-    }
+    for (std::uint64_t k = 1 + rng() % 4; k > 0; --k)
+      m.shard_seqs.push_back(rng() % 500);
     WriteFleetManifest(os, m);
   }
   return os.str();

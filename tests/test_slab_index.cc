@@ -245,9 +245,8 @@ TEST(SlabIndexDegenerate, IncrementalEdgeCases) {
   EXPECT_FALSE(idx.erase(3));
   EXPECT_THROW(idx.insert(Rect({Interval(0, 1)}), -1), std::invalid_argument);
 
-  // Update on an absent id degenerates to insert; the universe grows to
-  // cover the id.
-  idx.update(Rect({Interval(0.0, 2.0)}), 70);
+  // An insert past the universe grows it to cover the id.
+  idx.insert(Rect({Interval(0.0, 2.0)}), 70);
   EXPECT_TRUE(idx.contains(70));
   EXPECT_GE(idx.universe(), 71u);
   EXPECT_EQ(idx.word_count(), 2u);
@@ -256,8 +255,8 @@ TEST(SlabIndexDegenerate, IncrementalEdgeCases) {
   idx.stab(Point{1.0}, out, tmp);
   EXPECT_EQ(out, std::vector<int>{70});
 
-  // Update to an empty rect degenerates to erase.
-  idx.update(Rect({Interval()}), 70);
+  // Erasing the last id empties the index.
+  EXPECT_TRUE(idx.erase(70));
   EXPECT_FALSE(idx.contains(70));
   EXPECT_EQ(idx.size(), 0u);
 
@@ -397,8 +396,10 @@ TEST_P(SlabChurnFuzz, IncrementalStabsMatchFromScratchRebuild) {
                                        Interval()));
         break;
       default: {
+        // Update: replace id's rectangle (an empty one leaves it absent).
         const Rect r = RandRectMaybeUnbounded(rng, param.dims, kDomain);
-        inc.update(r, id);
+        inc.erase(id);
+        inc.insert(r, id);
         live[static_cast<std::size_t>(id)] =
             r.empty() ? Rect(std::vector<Interval>(
                             static_cast<std::size_t>(param.dims), Interval()))

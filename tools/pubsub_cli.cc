@@ -290,7 +290,7 @@ void PrintBrokerReport(const Broker& broker) {
                 "records\n",
                 (unsigned long long)s.snapshot_bytes,
                 (unsigned long long)s.replayed_records);
-  std::printf("live subscribers  %zu\n", broker.workload().num_subscribers());
+  std::printf("live subscribers  %zu\n", broker.live_subscribers());
   std::printf("final seq         %llu\n", (unsigned long long)broker.seq());
   std::printf("state digest      %016llx\n",
               (unsigned long long)broker.state_digest());
@@ -562,7 +562,7 @@ int Serve(const Flags& flags) {
   } else {
     const FleetManifest manifest =
         ReadArtifact(FleetManifestPath(base), ReadFleetManifest);
-    const std::size_t nshards = manifest.shards.size();
+    const std::size_t nshards = manifest.shard_seqs.size();
     std::vector<BrokerSnapshot> snaps;
     snaps.reserve(nshards);
     std::vector<std::vector<JournalRecord>> shard_recs(nshards);
@@ -601,7 +601,7 @@ int Serve(const Flags& flags) {
     rewrite(FleetJournalPath(base), fj.journal.records, manifest.seq);
     for (std::size_t k = 0; k < nshards; ++k)
       rewrite(FleetShardJournalPath(base, k), shard_recs[k],
-              manifest.shards[k].seq);
+              manifest.shard_seqs[k]);
 
     fopts.num_shards = nshards;
     fleet = BrokerFleet::Recover(manifest, snaps, shard_recs, *model,
@@ -654,15 +654,11 @@ int Serve(const Flags& flags) {
 
   const auto do_checkpoint = [&]() {
     if (base.empty() || fleet->stalled()) return;
-    const FleetCheckpoint cp = fleet->checkpoint();
     std::ostringstream ms;
-    WriteFleetManifest(ms, cp.manifest);
+    WriteFleetManifest(ms, fleet->checkpoint());
     SaveToFileAtomic(FleetManifestPath(base), ms.str());
-    for (std::size_t k = 0; k < cp.shard_snapshots.size(); ++k) {
-      std::ostringstream ss;
-      WriteBrokerSnapshot(ss, cp.shard_snapshots[k]);
-      SaveToFileAtomic(FleetShardSnapshotPath(base, k), ss.str());
-    }
+    for (std::size_t k = 0; k < fleet->num_shards(); ++k)
+      SaveSnapshotFile(FleetShardSnapshotPath(base, k), fleet->shard(k));
   };
   if (!resume) do_checkpoint();  // seq-0 baseline, like serve-replay
 
