@@ -147,35 +147,7 @@ void Broker::init_obs(const BrokerOptions& options) {
   g_seq_ = r.gauge("broker_seq", "last applied sequence number");
   g_live_subscribers_ = r.gauge(
       "broker_live_subscribers",
-      "subscribers with a live in-domain interest (covering riders)");
-  g_covering_entries_ = r.gauge(
-      "broker_covering_entries",
-      "distinct interest rectangles resident in the covering table");
-  g_covering_indexed_ = r.gauge(
-      "broker_covering_indexed_entries",
-      "covering entries resident in the slab index (maximal rectangles)");
-  g_covered_subscribers_ = r.gauge(
-      "broker_covered_subscribers",
-      "subscribers riding a covered (non-indexed) entry");
-  // Slab maintenance telemetry depends on *index history* (a recovered
-  // broker bulk-builds a compact slab), so it is runtime-only — unlike the
-  // covering gauges above, which are pure functions of the live table.
-  g_slab_endpoints_ =
-      r.gauge("broker_slab_endpoints",
-              "slab-index endpoints resident across all dimensions",
-              MetricStability::kRuntime);
-  g_slab_dead_endpoints_ =
-      r.gauge("broker_slab_dead_endpoints",
-              "slab-index endpoints no live entry references (table bloat)",
-              MetricStability::kRuntime);
-  g_slab_rebuilds_ =
-      r.gauge("broker_slab_rebuilds",
-              "threshold rebuilds performed by the slab index",
-              MetricStability::kRuntime);
-  g_slab_splices_ =
-      r.gauge("broker_slab_spliced_endpoints",
-              "endpoints spliced in by incremental slab inserts",
-              MetricStability::kRuntime);
+      "subscribers whose interest, clipped to the domain, is non-empty");
   g_window_waste_ratio_ =
       r.gauge("broker_window_waste_ratio",
               "wasted/emitted over the current refresh-policy window");
@@ -262,15 +234,6 @@ void Broker::seed_stats(const BrokerStats& s) {
 void Broker::update_derived_gauges() {
   Set(g_seq_, static_cast<double>(seq_));
   Set(g_live_subscribers_, static_cast<double>(live_subscribers()));
-  Set(g_covering_entries_, static_cast<double>(covering_.entry_count()));
-  Set(g_covering_indexed_, static_cast<double>(covering_.indexed_count()));
-  Set(g_covered_subscribers_,
-      static_cast<double>(covering_.covered_subscriber_count()));
-  const SlabIndex& slab = covering_.index();
-  Set(g_slab_endpoints_, static_cast<double>(slab.endpoint_count()));
-  Set(g_slab_dead_endpoints_, static_cast<double>(slab.dead_endpoints()));
-  Set(g_slab_rebuilds_, static_cast<double>(slab.rebuilds()));
-  Set(g_slab_splices_, static_cast<double>(slab.spliced_endpoints()));
   const std::uint64_t emitted = policy_.window_emitted();
   Set(g_window_waste_ratio_,
       emitted == 0 ? 0.0
@@ -285,25 +248,15 @@ void Broker::update_derived_gauges() {
                                       static_cast<double>(msgs));
 }
 
-// Subscribe the subscription table into a fresh covering table, in
-// ascending subscriber order.  A fresh broker and a recovered one both
-// build their index here.  The layout can differ from that of a live
-// broker which reached the same table through churn, but no output depends
-// on it (core/covering.h).  Tombstoned and out-of-domain interests clip to
-// empty and stay unindexed.
+// Index the subscription table, tombstones included, in fresh columns.  A
+// fresh broker and a recovered one both build their index here; the columns
+// are a function of the table alone, whatever churn reached it.
 void Broker::bootstrap_index() {
-  covering_ = CoveringTable();
-  const Rect domain = mgr_->workload().space.domain_rect();
-  const std::size_t n = mgr_->workload().num_subscribers();
-  for (std::size_t i = 0; i < n; ++i) {
-    const Rect clipped =
-        mgr_->workload().subscribers[i].interest.intersection(domain);
-    if (clipped.empty()) continue;
-    covering_.subscribe(static_cast<SubscriberId>(i), clipped);
-  }
-  // Subscribing in id order indexes rectangles that later subscribers
-  // demote; their endpoints would stay resident as dead ones.
-  covering_.compact_index();
+  const Workload& table = mgr_->workload();
+  lattice_ = LatticeIndex(table.space, table.num_subscribers());
+  for (std::size_t i = 0; i < table.num_subscribers(); ++i)
+    lattice_.insert(static_cast<SubscriberId>(i),
+                    table.subscribers[i].interest);
 }
 
 std::unique_ptr<Broker> Broker::Recover(const BrokerSnapshot& snapshot,
@@ -399,13 +352,7 @@ PublishOutcome Broker::publish(NodeId origin, const Point& event) {
   return apply_record(rec);
 }
 
-void Broker::apply(const JournalRecord& rec) { apply_with_outcome(rec); }
-
-PublishOutcome Broker::apply_with_outcome(const JournalRecord& rec) {
-  if (rec.seq != seq_ + 1)
-    throw std::runtime_error("Broker::apply: out-of-order record (expected seq " +
-                             std::to_string(seq_ + 1) + ", got " +
-                             std::to_string(rec.seq) + ")");
+PublishOutcome Broker::apply(const JournalRecord& rec) {
   return apply_record(rec);
 }
 
@@ -417,7 +364,9 @@ PublishOutcome Broker::apply_record(const JournalRecord& rec) {
         std::to_string(rec.seq) + " rejected");
   }
   if (rec.seq != seq_ + 1)
-    throw std::runtime_error("Broker: non-contiguous sequence number");
+    throw std::runtime_error("Broker: out-of-order record (expected seq " +
+                             std::to_string(seq_ + 1) + ", got " +
+                             std::to_string(rec.seq) + ")");
   validate_command(rec.cmd);
   const bool sampled =
       trace_ctx_armed_ || (trace_sample_ > 0 && rec.seq % trace_sample_ == 0);
@@ -589,9 +538,13 @@ void Broker::validate_command(const BrokerCommand& cmd) const {
   // at a node outside the network, must be caught here, pre-journal, or
   // the record lands in the journal (and consumes a seq) while the
   // mutation throws or reads out of bounds, crashing recovery replay.
+  // A publish off the lattice has no columns to match against
+  // (index/lattice_index.h); the journal reader refuses a non-finite one.
   if (cmd.type == BrokerCommandType::kSubscribe ||
       cmd.type == BrokerCommandType::kPublish) {
     network_->check_node(cmd.node, "Broker");
+    if (cmd.type == BrokerCommandType::kPublish)
+      mgr_->workload().space.check_lattice_point(cmd.point, "Broker");
     return;
   }
   if (cmd.subscriber < 0 ||
@@ -602,21 +555,29 @@ void Broker::validate_command(const BrokerCommand& cmd) const {
 }
 
 void Broker::apply_churn(const BrokerCommand& cmd) {
+  // The index clears the interest the table holds, so it is read before
+  // GroupManager overwrites it.
+  const auto old_interest = [&]() -> const Rect& {
+    return mgr_->workload()
+        .subscribers[static_cast<std::size_t>(cmd.subscriber)]
+        .interest;
+  };
   switch (cmd.type) {
     case BrokerCommandType::kSubscribe: {
       const SubscriberId id = mgr_->add_subscriber(cmd.node, cmd.interest);
-      index_insert(id, cmd.interest);
+      lattice_.insert(id, cmd.interest);
       Inc(c_subscribes_);
       break;
     }
     case BrokerCommandType::kUnsubscribe:
+      lattice_.erase(cmd.subscriber, old_interest());
       mgr_->remove_subscriber(cmd.subscriber);
-      index_erase(cmd.subscriber);
       Inc(c_unsubscribes_);
       break;
     case BrokerCommandType::kUpdate:
+      lattice_.erase(cmd.subscriber, old_interest());
       mgr_->update_subscriber(cmd.subscriber, cmd.interest);
-      index_update(cmd.subscriber, cmd.interest);
+      lattice_.insert(cmd.subscriber, cmd.interest);
       Inc(c_updates_);
       break;
     case BrokerCommandType::kPublish:
@@ -771,6 +732,7 @@ std::uint64_t Broker::write_snapshot(std::ostream& os) const {
 }
 
 std::vector<SubscriberId> Broker::interested(const Point& event) const {
+  mgr_->workload().space.check_lattice_point(event, "Broker::interested");
   const std::span<const SubscriberId> s = interested_into(event, scratch_);
   scratch_.clear_words();
   return {s.begin(), s.end()};
@@ -778,34 +740,20 @@ std::vector<SubscriberId> Broker::interested(const Point& event) const {
 
 std::span<const SubscriberId> Broker::interested_into(const Point& event,
                                                       MatchScratch& s) const {
-  s.stab_hits.clear();
-  covering_.stab(event, s.stab_hits, s.entry_words);
+  // The AND of the event's columns lands in s.words, and the set bits are
+  // emitted in ascending order, so the interested set does not depend on
+  // churn history.  The bits stay set on return (see the header) for the
+  // completion kernel.
   s.interested.clear();
-  if (s.stab_hits.empty()) return s.interested;
-  // The stab yields *covering entries* (maximal distinct rectangles);
-  // expand each into its riders plus the riders of covered children whose
-  // rectangle point-tests true.  The expansion order reflects covering
-  // topology — which depends on churn history, and differs between a live
-  // broker and a recovered one.  Scatter the subscriber ids into bit-words
-  // and emit the touched word range in ascending order: a counting sort,
-  // so downstream decisions depend only on the interested *set* —
-  // allocation-free and O(hits + population/64).  The bits stay set on
-  // return (see the header) for the completion kernel.
-  s.expanded.clear();
-  for (const int e : s.stab_hits) covering_.expand(e, event, s.expanded);
-  s.require_bits(mgr_->workload().num_subscribers());
-  std::size_t lo = s.words.size();
+  s.require_bits(lattice_.slots());
+  if (!lattice_.stab(event, s.words.data())) return s.interested;
+  std::size_t lo = static_cast<std::size_t>(-1);  // none: lo > hi
   std::size_t hi = 0;
-  for (const int id : s.expanded) {
-    const std::size_t w = static_cast<std::size_t>(id) / 64;
-    s.words[w] |= std::uint64_t{1} << (static_cast<std::size_t>(id) % 64);
-    lo = std::min(lo, w);
-    hi = std::max(hi, w);
-  }
-  s.word_lo = lo;
-  s.word_hi = hi;
-  for (std::size_t w = lo; w <= hi; ++w) {
+  for (std::size_t w = 0; w < lattice_.row_words(); ++w) {
     std::uint64_t word = s.words[w];
+    if (word == 0) continue;
+    lo = std::min(lo, w);
+    hi = w;
     while (word != 0) {
       const int b = std::countr_zero(word);
       s.interested.push_back(static_cast<SubscriberId>(
@@ -813,6 +761,8 @@ std::span<const SubscriberId> Broker::interested_into(const Point& event,
       word &= word - 1;
     }
   }
+  s.word_lo = lo;
+  s.word_hi = hi;
   return s.interested;
 }
 
@@ -831,31 +781,6 @@ std::uint64_t Broker::state_digest() const {
   for (const double v : runtime_->queue_state())
     h = DigestWord(h, std::bit_cast<std::uint64_t>(v));
   return h;
-}
-
-void Broker::index_insert(SubscriberId id, const Rect& interest) {
-  const Rect clipped =
-      interest.intersection(mgr_->workload().space.domain_rect());
-  if (clipped.empty()) return;  // never matches an in-domain event
-  covering_.subscribe(id, clipped);
-}
-
-void Broker::index_erase(SubscriberId id) {
-  if (!covering_.contains(id)) return;  // tombstoned or out-of-domain
-  covering_.unsubscribe(id);
-}
-
-void Broker::index_update(SubscriberId id, const Rect& interest) {
-  const Rect clipped =
-      interest.intersection(mgr_->workload().space.domain_rect());
-  if (covering_.contains(id)) {
-    if (clipped.empty())
-      covering_.unsubscribe(id);
-    else
-      covering_.update(id, clipped);  // no-op when rect unchanged
-  } else if (!clipped.empty()) {
-    covering_.subscribe(id, clipped);
-  }
 }
 
 std::span<const NodeId> Broker::nodes_into(std::span<const SubscriberId> subs,

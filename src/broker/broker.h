@@ -16,7 +16,7 @@
 //   * snapshots are captured at refresh boundaries, where the table, grid
 //     and clustering agree and the policy's waste window is empty;
 //   * recovery = load the latest snapshot, rebuild the grid and the
-//     covering index from its table (pure functions), adopt its clustering
+//     lattice index from its table (pure functions), adopt its clustering
 //     verbatim, restore queue state, then replay the journal tail.  Replay
 //     applies each record's *recorded* timestamp, so the recovered broker
 //     is bit-identical to an uninterrupted run — match decisions, latencies
@@ -26,9 +26,10 @@
 // nothing in the command path draws randomness (clustering warm starts are
 // deterministic; drivers that want stochastic churn seed their own Rng and
 // the resulting commands are journaled).  The live subscription index is a
-// covering table (core/covering.h), which owns the slab index it splices
-// under churn; stab results are emitted in ascending order by a counting
-// sort, so interested sets do not depend on index history.
+// lattice index (index/lattice_index.h): one bit-column per (attribute,
+// value), so an event's interested set is the AND of its columns, emitted in
+// ascending order.  Publishes must be lattice points (finite integer
+// coordinates); any other point is rejected before the journal.
 #pragma once
 
 #include <cstdint>
@@ -41,9 +42,9 @@
 
 #include "broker/refresh_policy.h"
 #include "broker/types.h"
-#include "core/covering.h"
 #include "core/group_manager.h"
 #include "core/match_scratch.h"
+#include "index/lattice_index.h"
 #include "io/file.h"
 #include "io/string_stream.h"
 #include "obs/clock.h"
@@ -162,12 +163,9 @@ class Broker {
 
   // Apply an already-sequenced record (fleet fan-out / replay): must carry
   // seq() + 1 and is applied with its recorded timestamp.  Journals to the
-  // sink like a local command.
-  void apply(const JournalRecord& rec);
-  // As apply(), but returns the publish outcome (default-constructed for
-  // churn records).  The fleet fan-out path needs the per-shard interested
-  // set; plain apply() discards it.
-  PublishOutcome apply_with_outcome(const JournalRecord& rec);
+  // sink like a local command.  Returns the publish outcome
+  // (default-constructed but for seq and refreshed on churn records).
+  PublishOutcome apply(const JournalRecord& rec);
 
   // --- state ------------------------------------------------------------
   std::uint64_t seq() const { return seq_; }
@@ -178,17 +176,16 @@ class Broker {
   BrokerStats stats() const;
   const GroupManager& groups() const { return *mgr_; }
   const Workload& workload() const { return mgr_->workload(); }
-  // Subscribers with a live in-domain interest: the covering table's rider
-  // count (tombstones and out-of-domain interests excluded), which the
+  // Subscribers whose interest, clipped to the domain, is non-empty
+  // (tombstones and out-of-domain interests excluded), which the
   // broker_live_subscribers gauge reports.
-  std::size_t live_subscribers() const {
-    return covering_.subscriber_count();
-  }
+  std::size_t live_subscribers() const { return lattice_.live(); }
   double last_command_time_ms() const { return last_time_ms_; }
 
   // Exact interested set for an event against the live table (sorted);
   // no journaling, no delivery-timing mutation and no refresh — the lookup
-  // path degraded mode keeps serving.
+  // path degraded mode keeps serving.  Throws std::invalid_argument unless
+  // `event` is a lattice point (EventSpace::check_lattice_point).
   std::vector<SubscriberId> interested(const Point& event) const;
 
   // --- degraded mode ----------------------------------------------------
@@ -261,13 +258,10 @@ class Broker {
   void maybe_refresh(PublishOutcome* outcome);
   void capture_checkpoint();
   void bootstrap_index();
-  void index_insert(SubscriberId id, const Rect& interest);
-  void index_erase(SubscriberId id);
-  void index_update(SubscriberId id, const Rect& interest);
-  // Sorted interested set for `event`, emitted into `s.interested` via a
-  // word-level counting sort over `s.words`; the interested bits (and
-  // s.word_lo/word_hi) are left set for the completion kernel — the caller
-  // must s.clear_words() when done.
+  // Sorted interested set for lattice point `event`: the AND of its columns
+  // in `s.words`, emitted in ascending order into `s.interested`.  The
+  // interested bits (and s.word_lo/word_hi) are left set for the completion
+  // kernel — the caller must s.clear_words() when done.
   std::span<const SubscriberId> interested_into(const Point& event,
                                                 MatchScratch& s) const;
   std::span<const NodeId> nodes_into(std::span<const SubscriberId> subs,
@@ -285,12 +279,9 @@ class Broker {
   std::unique_ptr<ManualClock> owned_clock_;
   Clock* clock_;
 
-  // Live subscription index over domain-clipped interests (DESIGN.md §10):
-  // the covering table dedups equal interests and nests contained ones, so
-  // its slab index holds one entry per *maximal distinct rectangle* —
-  // matcher state grows with distinct interest, not subscriber count, and
-  // churn on a known rectangle never touches the index.
-  CoveringTable covering_;
+  // Live subscription index (DESIGN.md §10): one bit-column per
+  // (attribute, value) over every slot of the table.
+  LatticeIndex lattice_;
 
   // Journal sink around the std::ostream passed to set_journal.
   std::unique_ptr<StreamSink> journal_;
@@ -355,13 +346,6 @@ class Broker {
   Gauge* g_recovery_progress_ = nullptr;
   Gauge* g_seq_ = nullptr;
   Gauge* g_live_subscribers_ = nullptr;
-  Gauge* g_covering_entries_ = nullptr;
-  Gauge* g_covering_indexed_ = nullptr;
-  Gauge* g_covered_subscribers_ = nullptr;
-  Gauge* g_slab_endpoints_ = nullptr;
-  Gauge* g_slab_dead_endpoints_ = nullptr;
-  Gauge* g_slab_rebuilds_ = nullptr;
-  Gauge* g_slab_splices_ = nullptr;
   Gauge* g_window_waste_ratio_ = nullptr;
   Gauge* g_waste_ratio_ = nullptr;
   Gauge* g_cost_per_event_ = nullptr;

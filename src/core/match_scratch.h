@@ -27,22 +27,18 @@
 namespace pubsub {
 
 struct MatchScratch {
-  // Raw hits from the subscription index (entry or subscriber ids, in
-  // index emission order — deterministic but unsorted).
+  // Raw hits from the matcher's rectangle index (in index emission order —
+  // deterministic but unsorted).
   std::vector<int> stab_hits;
   // Type-erased R-tree traversal stack (see RTree::stab's three-argument
   // overload; Node is private, hence const void*).
   std::vector<const void*> index_stack;
-  // Word buffer for SlabIndex stabs (one bit per *index entry*).
-  std::vector<std::uint64_t> entry_words;
-  // Covering expansion of entry hits into subscriber ids (unsorted; the
-  // counting-sort scatter canonicalizes downstream).
-  std::vector<SubscriberId> expanded;
 
-  // Word-packed subscriber bit scratch for the counting-sort emission and
-  // the group-completion AND-NOT kernel.  Contract: all words are zero
-  // between uses; a consumer scatters bits, records the touched word range
-  // in [word_lo, word_hi], and must call clear_words() when done.
+  // Word-packed subscriber bits: the lattice stab's column AND, read by the
+  // ascending emission and the group-completion AND-NOT kernel.  Contract:
+  // all words are zero between uses; a consumer writes bits, records the
+  // touched word range in [word_lo, word_hi], and must call clear_words()
+  // when done.
   std::vector<std::uint64_t> words;
   std::size_t word_lo = static_cast<std::size_t>(-1);
   std::size_t word_hi = 0;

@@ -25,6 +25,21 @@ Rect EventSpace::domain_rect() const {
   return Rect(std::move(ivals));
 }
 
+void EventSpace::check_lattice_point(const Point& p, const char* who) const {
+  if (p.size() != dims_.size())
+    throw std::invalid_argument(std::string(who) + ": event has " +
+                                std::to_string(p.size()) +
+                                " coordinates, the space " +
+                                std::to_string(dims_.size()));
+  for (std::size_t d = 0; d < p.size(); ++d)
+    if (!is_lattice_coord(p[d])) {
+      std::ostringstream os;
+      os << who << ": event coordinate " << p[d] << " of " << dims_[d].name
+         << " is not a lattice value (a finite integer)";
+      throw std::invalid_argument(os.str());
+    }
+}
+
 double EventSpace::clamp_to_domain(std::size_t d, double x) const {
   const double hi = static_cast<double>(dims_[d].domain_size - 1);
   double v = std::round(x);

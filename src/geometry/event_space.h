@@ -9,6 +9,7 @@
 // rectangles and publication points all live in this embedding.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -40,6 +41,16 @@ class EventSpace {
   static Interval value_interval(int v) { return Interval::Point(v); }
   // Point coordinate for integer value v (the right end of its interval).
   static double value_coord(int v) { return static_cast<double>(v); }
+  // True iff `x` is a lattice coordinate: a finite integer.  An integer
+  // outside a dimension's domain is one too; such a point matches nothing.
+  static bool is_lattice_coord(double x) {
+    return std::isfinite(x) && x == std::floor(x);
+  }
+  // Throws std::invalid_argument, naming `who`, unless `p` has dims()
+  // coordinates and each is a lattice coordinate.  Exact matching
+  // (index/lattice_index.h) answers only lattice points, so every path that
+  // accepts an event checks it here first.
+  void check_lattice_point(const Point& p, const char* who) const;
 
   // Clamp an arbitrary real sample into the valid coordinate range of
   // dimension d, then round to the nearest integer value's coordinate.

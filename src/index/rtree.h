@@ -2,10 +2,11 @@
 // Sort-Tile-Recursive bulk loading of Leutenegger et al. [10].
 //
 // This is the matching substrate of §4.6 for static rectangle sets: the
-// No-Loss clustering, `NoLossMatcher` and `DeliverySimulator` index their
+// No-Loss clustering, `NoLossMatcher` and `DeliverySimulator::interested()`
+// (whose traversal order the §5 tables are pinned to) index their
 // rectangles once, and each published event issues a point-stabbing query.
 // A tree is never modified after `BulkLoad`; the broker's churn-maintained
-// index is the covering table's slab index (core/covering.h).
+// index is the lattice index (index/lattice_index.h).
 //
 // All stored rectangles must be finite and non-empty.
 #pragma once

@@ -107,6 +107,19 @@ long ParseLong(LineReader& r, const std::string& tok) {
   }
 }
 
+// An integer field narrowed to int: the long is checked against [lo, hi]
+// before the cast, so 4294967297 fails at its line instead of reading as 1.
+int ParseInt(LineReader& r, const std::string& tok, long lo, long hi,
+             const char* what) {
+  const long v = ParseLong(r, tok);
+  if (v < lo || v > hi)
+    r.fail(std::string(what) + " out of range '" + tok + "'");
+  return static_cast<int>(v);
+}
+
+constexpr long kIntMin = std::numeric_limits<int>::min();
+constexpr long kIntMax = std::numeric_limits<int>::max();
+
 std::vector<std::string> Split(const std::string& line) {
   std::vector<std::string> toks;
   std::istringstream ss(line);
@@ -260,34 +273,34 @@ TransitStubNetwork ReadTransitStub(std::istream& is) {
   net.graph = ParseGraph(r);
   const int n = net.graph.num_nodes();
 
-  auto counted = [&r](const char* key) {
-    // returns the count after validating the keyword
-    return [&r, key]() -> long {
-      std::vector<std::string> toks = SplitN(r, r.next(), 2);
-      if (toks[0] != key) r.fail(std::string("expected '") + key + "'");
-      return ParseLong(r, toks[1]);
-    }();
+  // The value token of a "<key> <value>" line, after checking the key.
+  const auto value_of = [&r](const char* key) {
+    std::vector<std::string> toks = SplitN(r, r.next(), 2);
+    if (toks[0] != key) r.fail(std::string("expected '") + key + "'");
+    return toks[1];
   };
-
-  net.num_stubs = static_cast<int>(counted("stubs"));
-  const long transit = counted("transit");
+  net.num_stubs = ParseInt(r, value_of("stubs"), 0, kIntMax, "stub count");
+  const long transit = ParseLong(r, value_of("transit"));
   for (long i = 0; i < transit; ++i) {
     const long v = ParseLong(r, SplitN(r, r.next(), 1)[0]);
     if (v < 0 || v >= n) r.fail("transit node out of range");
     net.transit_nodes.push_back(static_cast<NodeId>(v));
   }
-  const long meta = counted("node-meta");
+  const long meta = ParseLong(r, value_of("node-meta"));
   if (meta != n) r.fail("node-meta count mismatch");
   for (long i = 0; i < meta; ++i) {
     const auto toks = SplitN(r, r.next(), 2);
-    net.stub_of_node.push_back(static_cast<int>(ParseLong(r, toks[0])));
-    net.block_of_node.push_back(static_cast<int>(ParseLong(r, toks[1])));
+    net.stub_of_node.push_back(
+        ParseInt(r, toks[0], kIntMin, kIntMax, "stub"));
+    net.block_of_node.push_back(
+        ParseInt(r, toks[1], kIntMin, kIntMax, "block"));
   }
-  const long blocks = counted("block-of-stub");
+  const long blocks = ParseLong(r, value_of("block-of-stub"));
   if (blocks != net.num_stubs) r.fail("block-of-stub count mismatch");
   for (long i = 0; i < blocks; ++i)
-    net.block_of_stub.push_back(static_cast<int>(ParseLong(r, SplitN(r, r.next(), 1)[0])));
-  const long stubs = counted("stub-members");
+    net.block_of_stub.push_back(
+        ParseInt(r, SplitN(r, r.next(), 1)[0], kIntMin, kIntMax, "block"));
+  const long stubs = ParseLong(r, value_of("stub-members"));
   if (stubs != net.num_stubs) r.fail("stub-members count mismatch");
   for (long s = 0; s < stubs; ++s) {
     const auto toks = Split(r.next());
@@ -358,7 +371,7 @@ Workload ReadWorkload(std::istream& is) {
     const auto toks = SplitN(r, r.next(), 2);
     DimensionSpec spec;
     spec.name = toks[0];
-    spec.domain_size = static_cast<int>(ParseLong(r, toks[1]));
+    spec.domain_size = ParseInt(r, toks[1], 1, kIntMax, "domain size");
     specs.push_back(std::move(spec));
   }
 
@@ -371,7 +384,7 @@ Workload ReadWorkload(std::istream& is) {
   for (long i = 0; i < count; ++i) {
     const auto toks = SplitN(r, r.next(), 1 + 2 * static_cast<std::size_t>(dims));
     Subscriber s;
-    s.node = static_cast<NodeId>(ParseLong(r, toks[0]));
+    s.node = ParseInt(r, toks[0], 0, kIntMax, "node id");
     std::vector<Interval> ivals;
     for (long d = 0; d < dims; ++d) {
       const double lo = ParseDouble(r, toks[1 + 2 * static_cast<std::size_t>(d)]);
@@ -399,15 +412,14 @@ ClusteringFile ReadClustering(std::istream& is) {
   ClusteringFile c;
   const auto groups_line = SplitN(r, r.next(), 2);
   if (groups_line[0] != "groups") r.fail("expected 'groups'");
-  c.num_groups = static_cast<int>(ParseLong(r, groups_line[1]));
+  c.num_groups = ParseInt(r, groups_line[1], 0, kIntMax, "group count");
   const auto cells_line = SplitN(r, r.next(), 2);
   if (cells_line[0] != "cells") r.fail("expected 'cells'");
   const long cells = ParseLong(r, cells_line[1]);
   c.cells_fed = static_cast<std::size_t>(cells);
   for (long i = 0; i < cells; ++i) {
-    const int g = static_cast<int>(ParseLong(r, SplitN(r, r.next(), 1)[0]));
-    if (g < -1 || g >= c.num_groups) r.fail("group id out of range");
-    c.assignment.push_back(g);
+    c.assignment.push_back(ParseInt(r, SplitN(r, r.next(), 1)[0], -1,
+                                    c.num_groups - 1L, "group id"));
   }
   return c;
 }
@@ -620,29 +632,21 @@ JournalRecord ParseJournalRecordLine(LineReader& r, const std::string& line,
   if (type == "sub") {
     if (toks.size() != 4 + rect_fields) r.fail("bad subscribe record");
     rec.cmd.type = BrokerCommandType::kSubscribe;
-    const long node = ParseLong(r, toks[3]);
-    if (node < 0) r.fail("negative node id");
-    rec.cmd.node = static_cast<NodeId>(node);
+    rec.cmd.node = ParseInt(r, toks[3], 0, kIntMax, "node id");
     rec.cmd.interest = ParseRect(r, toks, 4, dims);
   } else if (type == "unsub") {
     if (toks.size() != 4) r.fail("bad unsubscribe record");
     rec.cmd.type = BrokerCommandType::kUnsubscribe;
-    const long id = ParseLong(r, toks[3]);
-    if (id < 0) r.fail("negative subscriber id");
-    rec.cmd.subscriber = static_cast<SubscriberId>(id);
+    rec.cmd.subscriber = ParseInt(r, toks[3], 0, kIntMax, "subscriber id");
   } else if (type == "upd") {
     if (toks.size() != 4 + rect_fields) r.fail("bad update record");
     rec.cmd.type = BrokerCommandType::kUpdate;
-    const long id = ParseLong(r, toks[3]);
-    if (id < 0) r.fail("negative subscriber id");
-    rec.cmd.subscriber = static_cast<SubscriberId>(id);
+    rec.cmd.subscriber = ParseInt(r, toks[3], 0, kIntMax, "subscriber id");
     rec.cmd.interest = ParseRect(r, toks, 4, dims);
   } else if (type == "pub") {
     if (toks.size() != 4 + dims) r.fail("bad publish record");
     rec.cmd.type = BrokerCommandType::kPublish;
-    const long node = ParseLong(r, toks[3]);
-    if (node < 0) r.fail("negative origin node");
-    rec.cmd.node = static_cast<NodeId>(node);
+    rec.cmd.node = ParseInt(r, toks[3], 0, kIntMax, "origin node");
     rec.cmd.point.reserve(dims);
     for (std::size_t d = 0; d < dims; ++d) {
       const double x = ParseDouble(r, toks[4 + d]);

@@ -79,9 +79,9 @@ ClusteringFile ReadClustering(std::istream& is);
 // Snapshot: the recovery image of broker/broker.h, captured at a refresh
 // boundary.  The format is v5: seq, counters and queue state, then the
 // embedded workload and clustering records above, then the crc32c
-// trailer.  It holds state, not indexes: recovery rebuilds the covering
-// table from the workload.  The reader rejects any other version (v4
-// stored the covering table too) as a bad header, and a missing or
+// trailer.  It holds state, not indexes: recovery rebuilds the lattice
+// index from the workload.  The reader rejects any other version (v4
+// stored the broker's index too) as a bad header, and a missing or
 // mismatched trailer (a torn or altered file) before parsing.
 void WriteBrokerSnapshot(std::ostream& os, const BrokerSnapshot& snap);
 BrokerSnapshot ReadBrokerSnapshot(std::istream& is);

@@ -1,6 +1,5 @@
 #include "obs/trace.h"
 
-#include <ostream>
 #include <stdexcept>
 
 namespace pubsub {
@@ -42,15 +41,6 @@ std::vector<TraceSpan> TraceRing::spans() const {
   for (std::uint64_t i = recorded_ - n; i < recorded_; ++i)
     out.push_back(buf_[static_cast<std::size_t>(i % buf_.size())]);
   return out;
-}
-
-void WriteTraceText(std::ostream& os, const TraceRing& ring) {
-  os << "# trace capacity " << ring.capacity() << " recorded "
-     << ring.recorded() << " dropped " << ring.dropped() << '\n';
-  for (const TraceSpan& s : ring.spans())
-    os << s.trace_id << ' ' << s.seq << ' ' << s.shard << ' '
-       << StageName(s.stage) << ' ' << s.start_ms << ' ' << s.duration_ms
-       << '\n';
 }
 
 }  // namespace pubsub

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 namespace pubsub {
@@ -73,9 +72,5 @@ class TraceRing {
   std::vector<TraceSpan> buf_;
   std::uint64_t recorded_ = 0;
 };
-
-// One line per span: "trace_id seq shard stage start_ms duration_ms",
-// preceded by a summary header (capacity / recorded / dropped).
-void WriteTraceText(std::ostream& os, const TraceRing& ring);
 
 }  // namespace pubsub

@@ -203,6 +203,8 @@ void BrokerFleet::validate(const JournalRecord& rec) const {
                               std::to_string(rec.cmd.subscriber));
   } else {
     network_->check_node(rec.cmd.node, "BrokerFleet");
+    if (rec.cmd.type == BrokerCommandType::kPublish)
+      space().check_lattice_point(rec.cmd.point, "BrokerFleet");
   }
 }
 
@@ -327,7 +329,7 @@ FleetPublishOutcome BrokerFleet::fan_out_publish(const JournalRecord& rec) {
         shards_[k]->set_trace_context(cur_trace_id_,
                                       static_cast<std::int32_t>(k));
       try {
-        fan_outcomes_[k] = shards_[k]->apply_with_outcome(fan_recs_[k]);
+        fan_outcomes_[k] = shards_[k]->apply(fan_recs_[k]);
       } catch (...) {
         fan_errors_[k] = std::current_exception();
       }
@@ -487,7 +489,7 @@ std::size_t BrokerFleet::live_subscribers() const {
 
 std::uint64_t BrokerFleet::state_digest() const {
   return FleetStateDigest(
-      seq_, match_chain_, shards_[0]->workload().space, num_subscribers(),
+      seq_, match_chain_, space(), num_subscribers(),
       [this](std::size_t g) -> const Subscriber& {
         const std::size_t k =
             FleetShardOf(static_cast<SubscriberId>(g), shards_.size());
@@ -496,6 +498,7 @@ std::uint64_t BrokerFleet::state_digest() const {
 }
 
 std::vector<SubscriberId> BrokerFleet::interested(const Point& event) const {
+  space().check_lattice_point(event, "BrokerFleet::interested");
   // Cold read path, shard by shard.
   std::vector<SubscriberId> out;
   for (std::size_t k = 0; k < shards_.size(); ++k) {
@@ -679,7 +682,7 @@ FleetOracle::FleetOracle(Workload initial, const PublicationModel& pub,
 
 void FleetOracle::apply(const JournalRecord& rec) {
   const bool is_publish = rec.cmd.type == BrokerCommandType::kPublish;
-  const PublishOutcome out = broker_.apply_with_outcome(rec);
+  const PublishOutcome out = broker_.apply(rec);
   if (is_publish) {
     chain_ = FleetChainFold(chain_, rec.seq, out.interested_set);
     last_ = out.interested_set;

@@ -209,7 +209,8 @@ class BrokerFleet {
   void init_obs(std::size_t num_shards);
   // Extend both id maps to `total` global ids by the partition rule.
   void map_subscribers(std::size_t total);
-  std::size_t dims() const { return shards_[0]->workload().space.dims(); }
+  const EventSpace& space() const { return shards_[0]->workload().space; }
+  std::size_t dims() const { return space().dims(); }
   void validate(const JournalRecord& rec) const;
   void journal_fleet_record(const JournalRecord& rec);
   FleetPublishOutcome fan_out_publish(const JournalRecord& rec);

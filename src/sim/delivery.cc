@@ -10,13 +10,14 @@ DeliverySimulator::DeliverySimulator(const Graph& network, const Workload& wl)
   for (const Subscriber& s : wl.subscribers)
     network.check_node(s.node, "DeliverySimulator");
   const Rect domain = wl.space.domain_rect();
+  lattice_ = LatticeIndex(wl.space, wl.subscribers.size());
   std::vector<std::pair<Rect, int>> items;
   items.reserve(wl.subscribers.size());
   for (std::size_t i = 0; i < wl.subscribers.size(); ++i) {
+    lattice_.insert(static_cast<int>(i), wl.subscribers[i].interest);
     const Rect r = wl.subscribers[i].interest.intersection(domain);
     if (!r.empty()) items.emplace_back(r, static_cast<int>(i));
   }
-  slab_index_ = SlabIndex(items, wl.subscribers.size());
   sub_index_ = RTree::BulkLoad(std::move(items));
 }
 
@@ -27,7 +28,8 @@ std::vector<SubscriberId> DeliverySimulator::interested(const Point& p) const {
 void DeliverySimulator::interested_into(const Point& p,
                                         std::vector<SubscriberId>& out,
                                         std::vector<std::uint64_t>& tmp) const {
-  slab_index_.stab(p, out, tmp);
+  workload_->space.check_lattice_point(p, "DeliverySimulator");
+  lattice_.stab(p, out, tmp);
 }
 
 const ShortestPathTree& DeliverySimulator::spt(NodeId origin) {

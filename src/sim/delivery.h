@@ -15,7 +15,8 @@
 //   * broadcast pays the publisher's full SPT.
 //
 // The simulator caches one shortest-path tree per publisher origin and
-// owns the R-tree over subscription rectangles used for exact matching.
+// owns the two exact-match indexes over subscription rectangles: the R-tree
+// and the broker's lattice index.
 #pragma once
 
 #include <memory>
@@ -25,7 +26,7 @@
 
 #include "core/matching.h"
 #include "index/rtree.h"
-#include "index/slab_index.h"
+#include "index/lattice_index.h"
 #include "net/graph.h"
 #include "net/multicast.h"
 #include "net/shortest_path.h"
@@ -45,10 +46,11 @@ class DeliverySimulator {
   // the tree's traversal order — the order the sim experiments are pinned
   // to).
   std::vector<SubscriberId> interested(const Point& p) const;
-  // Batch-phase kernel: the same set via the word-parallel SlabIndex,
-  // emitted in ascending id order (the broker's sorted-set convention) into
-  // `out` (cleared on entry).  `tmp` is the caller's reusable word buffer;
-  // steady-state calls are allocation-free.
+  // Batch-phase kernel: the same set via the lattice index, emitted in
+  // ascending id order (the broker's sorted-set convention) into `out`
+  // (cleared on entry).  `tmp` is the caller's reusable word buffer;
+  // steady-state calls are allocation-free.  Throws std::invalid_argument
+  // unless `p` is a lattice point (EventSpace::check_lattice_point).
   void interested_into(const Point& p, std::vector<SubscriberId>& out,
                        std::vector<std::uint64_t>& tmp) const;
 
@@ -103,7 +105,7 @@ class DeliverySimulator {
   const Graph* network_;
   const Workload* workload_;
   RTree sub_index_;
-  SlabIndex slab_index_;
+  LatticeIndex lattice_;
   std::unordered_map<NodeId, ShortestPathTree> spt_cache_;
   std::unique_ptr<DistanceMatrix> dm_;  // built on first app-level query
   CostScratch scratch_;                 // for the serial (non-const) calls

@@ -124,7 +124,7 @@ std::vector<CliCommand> BuildCommands() {
            {"snapshot", "PATH", "checkpoint snapshots to this file"},
            {"snapshot-every", "N", "snapshot cadence in commands (500)"},
            {"trace-sample", "N", "retain spans for every N-th command (0)"},
-           {"trace-out", "PATH", "write retained publish-path spans"},
+           {"trace-out", "PATH", "write retained publish-path spans (JSON)"},
            {"modes", "1|4|9", "stock-model publication hot spots (1)"},
        } + BrokerFlags() + CommonFlags()});
 

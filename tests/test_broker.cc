@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
+#include <limits>
 #include <span>
 #include <sstream>
 #include <string>
@@ -503,13 +504,13 @@ TEST(Broker, NodeOutsideTheNetworkRejectedAtEveryEntry) {
   EXPECT_EQ(journal.str(), journal_before);
 }
 
-// A snapshot holds the subscription table, not the covering table: a
-// recovered broker rebuilds its index from the table, so its layout (entry
-// ids, rider and child order) differs from that of the live broker, which
+// A snapshot holds the subscription table, not the index: a recovered
+// broker rebuilds its lattice columns from the table, while the live broker
 // reached the same table through churn.  No output may differ: under a
 // churn-heavy tail applied to both, the digest, the interested sets at
-// fixed probe points and the covering gauges agree after every command.
-TEST(Broker, SnapshotRoundTripRestoresCoveringTable) {
+// fixed probe points and the live-subscriber gauge agree after every
+// command.
+TEST(Broker, SnapshotRoundTripRebuildsTheLatticeIndex) {
   BrokerFixture f;
   const BrokerOptions opts = f.SmallOptions();
   const std::vector<JournalRecord> schedule =
@@ -535,11 +536,12 @@ TEST(Broker, SnapshotRoundTripRestoresCoveringTable) {
   const auto expect_same = [&] {
     const std::uint64_t seq = live.seq();
     EXPECT_EQ(restored->state_digest(), live.state_digest()) << "seq " << seq;
-    for (const char* name :
-         {"broker_covering_entries", "broker_covering_indexed_entries",
-          "broker_covered_subscribers", "broker_live_subscribers"})
-      EXPECT_EQ(gauge(*restored, name), gauge(live, name))
-          << name << " at seq " << seq;
+    EXPECT_EQ(gauge(*restored, "broker_live_subscribers"),
+              gauge(live, "broker_live_subscribers"))
+        << "seq " << seq;
+    EXPECT_EQ(gauge(live, "broker_live_subscribers"),
+              static_cast<double>(live.live_subscribers()))
+        << "seq " << seq;
     for (std::size_t k = 0; k < 16; ++k) {
       const Point& probe = f.events[k].pub.point;
       EXPECT_EQ(restored->interested(probe), live.interested(probe))
@@ -552,31 +554,56 @@ TEST(Broker, SnapshotRoundTripRestoresCoveringTable) {
     restored->apply(schedule[i]);
     expect_same();
   }
-  EXPECT_GT(gauge(live, "broker_covered_subscribers"), 0.0);
+  EXPECT_GT(gauge(live, "broker_live_subscribers"), 0.0);
 }
 
-// A fresh or recovered broker builds its index by subscribing the table in
-// id order, which indexes rectangles that later subscribers demote; the
-// bootstrap then compacts the index, so none of their endpoints stays
-// resident as a dead one.
-TEST(Broker, BootstrapLeavesNoDeadSlabEndpoints) {
+// The index answers only lattice points, so a publish whose coordinate is
+// not a finite integer is rejected before the journal, on the live path
+// and on apply() alike: it consumes no seq and no journal byte (the journal
+// reader refuses a non-finite coordinate, so a journaled one would stop
+// recovery).  The read path refuses the same points.  An integer outside
+// the domain is a lattice point: accepted, it matches nothing.
+TEST(Broker, PublishOffTheLatticeRejectedBeforeTheJournal) {
   BrokerFixture f;
-  const BrokerOptions opts = f.SmallOptions();
-  const auto gauge = [](const Broker& b, const char* name) {
-    return b.metrics().gauge(name, "")->value();
-  };
   ManualClock clock;
-  Broker live = f.MakeBroker(opts, &clock);
-  EXPECT_GT(gauge(live, "broker_slab_endpoints"), 0.0);
-  EXPECT_EQ(gauge(live, "broker_slab_dead_endpoints"), 0.0);
+  Broker a = f.MakeBroker(f.SmallOptions(), &clock);
+  std::ostringstream journal;
+  a.set_journal(&journal);
+  clock.advance(1.0);
+  a.publish(f.events[0].pub.origin, f.events[0].pub.point);
+  const std::uint64_t seq_before = a.seq();
+  const std::uint64_t bytes_before = a.stats().journal_bytes;
+  const std::string journal_before = journal.str();
 
-  f.Drive(live, clock);
-  const BrokerSnapshot snap = live.snapshot();
-  ASSERT_GT(snap.seq, 0u);
-  const auto restored = Broker::Recover(snap, {}, *f.scenario.pub,
-                                        f.scenario.net.graph, opts);
-  EXPECT_GT(gauge(*restored, "broker_slab_endpoints"), 0.0);
-  EXPECT_EQ(gauge(*restored, "broker_slab_dead_endpoints"), 0.0);
+  const NodeId origin = f.events[1].pub.origin;
+  for (const double bad : {2.5, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    Point p = f.events[1].pub.point;
+    p[1] = bad;
+    clock.advance(1.0);
+    EXPECT_THROW(a.publish(origin, p), std::invalid_argument) << bad;
+    JournalRecord rec;
+    rec.seq = a.seq() + 1;
+    rec.cmd.type = BrokerCommandType::kPublish;
+    rec.cmd.time_ms = clock.now_ms();
+    rec.cmd.node = origin;
+    rec.cmd.point = p;
+    EXPECT_THROW(a.apply(rec), std::invalid_argument) << bad;
+    EXPECT_THROW(a.interested(p), std::invalid_argument) << bad;
+  }
+  EXPECT_EQ(a.seq(), seq_before);
+  EXPECT_EQ(a.stats().journal_bytes, bytes_before);
+  EXPECT_EQ(journal.str(), journal_before);
+
+  Point outside = f.events[1].pub.point;
+  outside[1] = static_cast<double>(a.workload().space.dim(1).domain_size);
+  EXPECT_TRUE(a.interested(outside).empty());
+  clock.advance(1.0);
+  const PublishOutcome out = a.publish(origin, outside);
+  EXPECT_EQ(out.seq, seq_before + 1);
+  EXPECT_EQ(out.interested, 0u);
+  EXPECT_TRUE(out.interested_set.empty());
 }
 
 // --- fault injection & graceful degradation -------------------------------

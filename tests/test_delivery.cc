@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
+#include <vector>
 
 namespace pubsub {
 namespace {
@@ -39,6 +43,38 @@ TEST(DeliverySimulator, InterestedUsesExactMatching) {
   EXPECT_EQ(sorted(sim.interested(Point{7.0})), (std::vector<SubscriberId>{1, 2, 3}));
   EXPECT_EQ(sorted(sim.interested(Point{4.0})),
             (std::vector<SubscriberId>{0, 1, 2, 3}));
+}
+
+// The batch kernel stabs the lattice index: the R-tree's set in ascending
+// order at every lattice value, nothing outside the domain, and a refusal
+// of any coordinate that is not a finite integer.
+TEST(DeliverySimulator, InterestedIntoIsTheSortedExactSet) {
+  StarFixture f;
+  Subscriber half;  // sub 4: holds 3, 4 and 5
+  half.node = 4;
+  half.interest = Rect({Interval(2.5, 5.5)});
+  f.wl.subscribers.push_back(half);
+  Subscriber gone;  // sub 5: a tombstone
+  gone.node = 4;
+  gone.interest = Rect({Interval()});
+  f.wl.subscribers.push_back(gone);
+  DeliverySimulator sim(f.graph, f.wl);
+  std::vector<SubscriberId> out;
+  std::vector<std::uint64_t> tmp;
+  for (int v = -2; v <= 11; ++v) {
+    const Point p{static_cast<double>(v)};
+    std::vector<SubscriberId> want = sim.interested(p);
+    std::sort(want.begin(), want.end());
+    sim.interested_into(p, out, tmp);
+    EXPECT_EQ(out, want) << v;
+  }
+  sim.interested_into(Point{5.0}, out, tmp);
+  EXPECT_EQ(out, (std::vector<SubscriberId>{1, 2, 3, 4}));
+  for (const double bad : {2.5, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()})
+    EXPECT_THROW(sim.interested_into(Point{bad}, out, tmp),
+                 std::invalid_argument)
+        << bad;
 }
 
 TEST(DeliverySimulator, UnicastPaysPerSubscriberEvenOnSharedNodes) {

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -308,6 +309,46 @@ TEST(FleetJournal, NodeOutsideTheNetworkRejectedBeforeTheJournal) {
   EXPECT_EQ(fleet.seq(), 0u);
   EXPECT_EQ(fleet.shard(0).seq() + fleet.shard(1).seq(), 0u);
   EXPECT_EQ(disk.str(), header);
+}
+
+// A publish off the lattice (a coordinate that is not a finite integer) is
+// rejected before the fleet journal, as a shard would reject it: no seq,
+// no fleet or shard journal byte.  The cold read path refuses the same
+// points; an integer outside the domain is accepted and matches nothing.
+TEST(FleetJournal, PublishOffTheLatticeRejectedBeforeTheJournal) {
+  const Scenario sc = MakeStockScenario(50, PublicationHotSpots::kOne, 91);
+  const auto schedule = BuildChaosSchedule(sc.net, sc.workload, 40, 4, 7);
+  BrokerFleet fleet(sc.workload, *sc.pub, sc.net.graph, SmallFleetOptions(2));
+  std::ostringstream disk;
+  std::vector<std::ostringstream> shard_disks(2);
+  fleet.set_fleet_journal(&disk);
+  for (std::size_t k = 0; k < 2; ++k)
+    fleet.set_shard_journal(k, &shard_disks[k]);
+  const std::string header = disk.str();
+  const std::string shard0 = shard_disks[0].str();
+  const std::string shard1 = shard_disks[1].str();
+
+  JournalRecord pub = schedule[0];
+  ASSERT_EQ(pub.cmd.type, BrokerCommandType::kPublish);
+  for (const double bad : {2.5, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    JournalRecord r = pub;
+    r.cmd.point[2] = bad;
+    EXPECT_THROW(fleet.apply(r), std::invalid_argument) << bad;
+    EXPECT_THROW(fleet.interested(r.cmd.point), std::invalid_argument) << bad;
+  }
+  EXPECT_EQ(fleet.seq(), 0u);
+  EXPECT_EQ(fleet.shard(0).seq() + fleet.shard(1).seq(), 0u);
+  EXPECT_EQ(disk.str(), header);
+  EXPECT_EQ(shard_disks[0].str(), shard0);
+  EXPECT_EQ(shard_disks[1].str(), shard1);
+
+  pub.cmd.point[2] = -1.0;
+  EXPECT_TRUE(fleet.interested(pub.cmd.point).empty());
+  const FleetPublishOutcome out = fleet.apply(pub);
+  EXPECT_EQ(out.seq, 1u);
+  EXPECT_TRUE(out.interested.empty());
 }
 
 // Degraded-shard stall and heal: the record left pending on the degraded

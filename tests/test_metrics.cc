@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -146,16 +147,53 @@ TEST(Trace, RingWrapsAndCountsDrops) {
     EXPECT_EQ(spans[i].seq, 6u + i);
 }
 
-TEST(Trace, TextWriterEmitsSummaryAndSpans) {
-  TraceRing ring(2);
-  ring.record(TraceSpan{7, 7, -1, PublishStage::kDeliveryPlan, 1.0, 0.25});
+// serve-replay --trace-out writes a standalone broker's ring through
+// WriteTraceJson, as serve writes the fleet's: a standalone broker's spans
+// carry trace_id = seq and shard = -1.
+TEST(Trace, JsonWriterEmitsStandaloneBrokerSpans) {
+  const Scenario scenario =
+      MakeStockScenario(60, PublicationHotSpots::kOne, 61);
+  DeliverySimulator sim(scenario.net.graph, scenario.workload);
+  Rng rng(62);
+  const std::vector<EventSample> events =
+      SampleEvents(sim, *scenario.pub, 6, rng);
+  BrokerOptions opts;
+  opts.group.num_groups = 4;
+  opts.group.max_cells = 200;
+  opts.obs.trace_sample = 2;
+  ManualClock clock, trace_clock;
+  opts.obs.trace_clock = &trace_clock;
+  Broker broker(scenario.workload, *scenario.pub, scenario.net.graph, opts,
+                &clock);
+  for (const EventSample& e : events) {
+    clock.advance(1.0);
+    broker.publish(e.pub.origin, e.pub.point);
+  }
+
   std::ostringstream os;
-  WriteTraceText(os, ring);
-  const std::string text = os.str();
-  EXPECT_NE(text.find("# trace capacity 2 recorded 1 dropped 0"),
-            std::string::npos);
-  EXPECT_NE(text.find(StageName(PublishStage::kDeliveryPlan)),
-            std::string::npos);
+  WriteTraceJson(os, broker.trace());
+  std::istringstream lines(os.str());
+  std::string line;
+  std::getline(lines, line);
+  EXPECT_EQ(line, "{\"recorded\":" + std::to_string(broker.trace().recorded()) +
+                      ",\"dropped\":0,\"spans\":[");
+  std::size_t spans = 0;
+  while (std::getline(lines, line)) {
+    unsigned long long trace_id = 0, seq = 0;
+    int shard = 0;
+    if (std::sscanf(line.c_str(),
+                    "{\"trace_id\":%llu,\"seq\":%llu,\"shard\":%d",
+                    &trace_id, &seq, &shard) != 3)
+      continue;
+    ++spans;
+    EXPECT_EQ(trace_id, seq) << line;
+    EXPECT_EQ(seq % 2, 0u) << line;
+    EXPECT_EQ(shard, -1) << line;
+  }
+  // Three sampled publishes (seq 2, 4, 6), four stages each.
+  EXPECT_EQ(spans, 12u);
+  EXPECT_EQ(broker.trace().recorded(), 12u);
+  EXPECT_NE(os.str().find("\"stage\":\"delivery_plan\""), std::string::npos);
 }
 
 // ---- exposition -----------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
 #include <string>
@@ -190,6 +191,86 @@ TEST(Serialize, TransitStubRejectsOutOfRangeEdgeAtItsLine) {
               std::string::npos)
         << edge;
   }
+}
+
+// Integer fields narrowed to int are range-checked as longs first, so a
+// value past int (4294967297 = 2^32 + 1, which a bare cast reads as 1)
+// fails at its own line in every reader.
+constexpr const char* kPastInt = "4294967297";
+
+TEST(Serialize, WorkloadRejectsOutOfRangeIntegersAtTheirLine) {
+  const std::string head = "pubsub-workload v1\ndims 1\n";
+  EXPECT_NE(ErrorOf(ReadWorkload,
+                    head + "bst " + kPastInt + "\nsubscribers 0\n")
+                .find("parse error at line 3: domain size out of range"),
+            std::string::npos);
+  EXPECT_NE(ErrorOf(ReadWorkload, head + "bst 0\nsubscribers 0\n")
+                .find("parse error at line 3"),
+            std::string::npos);
+  for (const std::string& node : {std::string(kPastInt), std::string("-1")})
+    EXPECT_NE(ErrorOf(ReadWorkload,
+                      head + "bst 3\nsubscribers 1\n" + node + " -1 2\n")
+                  .find("parse error at line 5: node id out of range"),
+              std::string::npos)
+        << node;
+}
+
+TEST(Serialize, JournalRejectsOutOfRangeIntegersAtTheirLine) {
+  const std::string head = "pubsub-journal v2\ndims 1\n";
+  const std::string big = kPastInt;
+  for (const std::string& body :
+       {"1 0.5 sub " + big + " -1 2", "1 0.5 unsub " + big,
+        "1 0.5 upd " + big + " -1 2", "1 0.5 pub " + big + " 1",
+        std::string("1 0.5 unsub -1")}) {
+    const std::string error = ErrorOf(ReadJournal, head + Sealed(body));
+    EXPECT_NE(error.find("at line 3"), std::string::npos) << body;
+    EXPECT_NE(error.find("out of range"), std::string::npos) << body;
+  }
+}
+
+TEST(Serialize, TransitStubRejectsOutOfRangeIntegersAtTheirLine) {
+  Rng rng(2);
+  std::ostringstream os;
+  WriteTransitStub(os, GenerateTransitStub(PaperNetSection5(), rng));
+  const std::string full = os.str();
+  // Replace the first token of the line after the one starting with `key`
+  // (or, with `same`, the value on the key's own line) by 2^32 + 1, and
+  // expect the reader to fail at that line.
+  const auto expect_fails_at = [&](const std::string& key, bool same) {
+    std::string text = full;
+    std::size_t at = text.find("\n" + key + ' ') + 1;
+    if (same) {
+      at += key.size() + 1;
+    } else {
+      at = text.find('\n', at) + 1;
+    }
+    const std::size_t end = text.find_first_of(" \n", at);
+    text.replace(at, end - at, kPastInt);
+    const long line = std::count(text.begin(),
+                                 text.begin() + static_cast<std::ptrdiff_t>(at),
+                                 '\n') + 1;
+    EXPECT_NE(ErrorOf(ReadTransitStub, text)
+                  .find("parse error at line " + std::to_string(line)),
+              std::string::npos)
+        << key;
+  };
+  expect_fails_at("stubs", true);
+  expect_fails_at("node-meta", false);
+  expect_fails_at("block-of-stub", false);
+}
+
+TEST(Serialize, ClusteringRejectsOutOfRangeIntegersAtTheirLine) {
+  const std::string head = "pubsub-clustering v1\n";
+  EXPECT_NE(ErrorOf(ReadClustering,
+                    head + "groups " + kPastInt + "\ncells 0\n")
+                .find("parse error at line 2: group count out of range"),
+            std::string::npos);
+  for (const std::string& g : {std::string(kPastInt), std::string("2"),
+                               std::string("-2")})
+    EXPECT_NE(ErrorOf(ReadClustering, head + "groups 2\ncells 1\n" + g + "\n")
+                  .find("parse error at line 4: group id out of range"),
+              std::string::npos)
+        << g;
 }
 
 TEST(Serialize, RejectsMalformedNumbers) {

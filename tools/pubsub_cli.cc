@@ -436,7 +436,7 @@ int ServeReplay(const Flags& flags) {
   const std::string trace_path = flags.get("trace-out", "");
   if (!trace_path.empty()) {
     std::ostringstream os;
-    WriteTraceText(os, broker.trace());
+    WriteTraceJson(os, broker.trace());
     SaveToFile(trace_path, os.str());
   }
   return 0;
