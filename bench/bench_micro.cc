@@ -1,16 +1,16 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels: membership
-// bit-vector operations, the expected-waste distance, R-tree stabbing,
-// Dijkstra, pruned-SPT multicast cost, and grid construction.
+// bit-vector operations, the expected-waste distance, lattice-index
+// stabbing, Dijkstra, pruned-SPT multicast cost, and grid construction.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "core/cluster_types.h"
 #include "core/grid.h"
-#include "index/rtree.h"
-#include "index/spatial_index.h"
+#include "index/lattice_index.h"
 #include "net/multicast.h"
 #include "net/shortest_path.h"
 #include "net/transit_stub.h"
@@ -60,48 +60,24 @@ void BM_GroupStateAddRemove(benchmark::State& state) {
 }
 BENCHMARK(BM_GroupStateAddRemove);
 
-void BM_RTreeStab(benchmark::State& state) {
+void BM_LatticeStab(benchmark::State& state) {
   Rng rng(4);
   const Scenario s = MakeStockScenario(static_cast<int>(state.range(0)),
                                        PublicationHotSpots::kOne, 5);
-  std::vector<std::pair<Rect, int>> items;
-  const Rect domain = s.workload.space.domain_rect();
+  LatticeIndex index(s.workload.space, s.workload.subscribers.size());
   for (std::size_t i = 0; i < s.workload.subscribers.size(); ++i)
-    items.emplace_back(s.workload.subscribers[i].interest.intersection(domain),
-                       static_cast<int>(i));
-  const RTree tree = RTree::BulkLoad(std::move(items));
+    index.insert(static_cast<int>(i), s.workload.subscribers[i].interest);
   std::vector<Publication> pubs;
   for (int i = 0; i < 256; ++i) pubs.push_back(s.pub->sample(rng));
   std::vector<int> out;
+  std::vector<std::uint64_t> tmp;
   std::size_t i = 0;
   for (auto _ : state) {
-    out.clear();
-    tree.stab(pubs[i++ % pubs.size()].point, out);
+    index.stab(pubs[i++ % pubs.size()].point, out, tmp);
     benchmark::DoNotOptimize(out.size());
   }
 }
-BENCHMARK(BM_RTreeStab)->Arg(1000)->Arg(5000);
-
-void BM_LinearStab(benchmark::State& state) {
-  Rng rng(9);
-  const Scenario s = MakeStockScenario(static_cast<int>(state.range(0)),
-                                       PublicationHotSpots::kOne, 5);
-  LinearIndex index;
-  const Rect domain = s.workload.space.domain_rect();
-  for (std::size_t i = 0; i < s.workload.subscribers.size(); ++i)
-    index.insert(s.workload.subscribers[i].interest.intersection(domain),
-                 static_cast<int>(i));
-  std::vector<Publication> pubs;
-  for (int i = 0; i < 256; ++i) pubs.push_back(s.pub->sample(rng));
-  std::vector<int> out;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    out.clear();
-    index.stab(pubs[i++ % pubs.size()].point, out);
-    benchmark::DoNotOptimize(out.size());
-  }
-}
-BENCHMARK(BM_LinearStab)->Arg(1000);
+BENCHMARK(BM_LatticeStab)->Arg(1000)->Arg(5000);
 
 void BM_Dijkstra600(benchmark::State& state) {
   Rng rng(6);

@@ -1,13 +1,12 @@
 // Per-event scratch arenas for the publish/match hot path (DESIGN.md §10).
 //
-// All per-event working memory — raw stab hits, the word-packed bit
-// scratch, the sorted interested set, unicast completion targets,
-// host-node lists, per-delivery latencies and the spatial-index traversal
-// stack — lives in one MatchScratch.  The vectors only ever grow: after a
-// warm-up pass their capacity covers the workload's high-water mark, and
-// every subsequent match/publish reuses them, so steady-state publish
-// performs zero heap allocations (pinned by tests/test_publish_alloc.cc
-// with a counting operator new).
+// All per-event working memory — the word-packed bit scratch, the sorted
+// interested set, unicast completion targets, host-node lists and
+// per-delivery latencies — lives in one MatchScratch.  The vectors only
+// ever grow: after a warm-up pass their capacity covers the workload's
+// high-water mark, and every subsequent match/publish reuses them, so
+// steady-state publish performs zero heap allocations (pinned by
+// tests/test_publish_alloc.cc with a counting operator new).
 //
 // Ownership convention: the broker owns one scratch per instance (its
 // commands are sequenced, so one is enough); free-standing call sites and
@@ -27,13 +26,6 @@
 namespace pubsub {
 
 struct MatchScratch {
-  // Raw hits from the matcher's rectangle index (in index emission order —
-  // deterministic but unsorted).
-  std::vector<int> stab_hits;
-  // Type-erased R-tree traversal stack (see RTree::stab's three-argument
-  // overload; Node is private, hence const void*).
-  std::vector<const void*> index_stack;
-
   // Word-packed subscriber bits: the lattice stab's column AND, read by the
   // ascending emission and the group-completion AND-NOT kernel.  Contract:
   // all words are zero between uses; a consumer writes bits, records the

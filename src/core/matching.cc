@@ -113,16 +113,12 @@ NoLossMatcher::NoLossMatcher(const NoLossResult& result, std::size_t num_groups,
   groups_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) groups_.push_back(*ranked[i]);
 
-  std::vector<std::pair<Rect, int>> items;
-  items.reserve(n);
   members_.resize(n);
   for (std::size_t g = 0; g < n; ++g) {
-    items.emplace_back(groups_[g].rect, static_cast<int>(g));
     groups_[g].subscribers.for_each_set([this, g](std::size_t i) {
       members_[g].push_back(static_cast<SubscriberId>(i));
     });
   }
-  rect_index_ = RTree::BulkLoad(std::move(items));
 }
 
 MatchDecision NoLossMatcher::match(const Point& p,
@@ -136,26 +132,22 @@ MatchDecision NoLossMatcher::match(const Point& p,
   MatchDecision d;
   Inc(c_lookups_);
 
-  std::vector<int>& hits = scratch.stab_hits;
-  hits.clear();
-  rect_index_.stab(p, hits, scratch.index_stack);
-  Inc(c_areas_hit_, hits.size());
+  // Scan list A in rank order; only a strictly better area replaces the
+  // best so far, so ties go to the higher rank.
+  std::size_t hits = 0;
   int best = -1;
   const bool by_members = options_.pick == NoLossMatcherOptions::Pick::kMembers;
-  for (const int g : hits) {
-    if (best == -1) {
-      best = g;
-      continue;
-    }
+  for (std::size_t g = 0; g < groups_.size(); ++g) {
+    if (!groups_[g].rect.contains(p)) continue;
+    ++hits;
+    const auto b = static_cast<std::size_t>(best);
     // |u(s)| is the size of the extracted member list — O(1), instead of a
     // popcount over the membership words on every comparison.
-    const bool better =
-        by_members ? members_[static_cast<std::size_t>(g)].size() >
-                         members_[static_cast<std::size_t>(best)].size()
-                   : groups_[static_cast<std::size_t>(g)].weight >
-                         groups_[static_cast<std::size_t>(best)].weight;
-    if (better) best = g;
+    if (best == -1 || (by_members ? members_[g].size() > members_[b].size()
+                                  : groups_[g].weight > groups_[b].weight))
+      best = static_cast<int>(g);
   }
+  Inc(c_areas_hit_, hits);
 
   if (best == -1) {
     d.unicast_targets = interested;
@@ -167,8 +159,7 @@ MatchDecision NoLossMatcher::match(const Point& p,
   d.group_id = best;
   d.group_members = members_[static_cast<std::size_t>(best)];
   // Interested subscribers outside u(s) still get unicasts (Fig. 6).  The
-  // per-id bit test preserves the caller's `interested` order exactly
-  // (callers may pass index-order sets whose iteration order is pinned).
+  // per-id bit test preserves the caller's `interested` order.
   scratch.unicast.clear();
   for (const SubscriberId s : interested)
     if (!grp.subscribers.test(static_cast<std::size_t>(s)))

@@ -9,10 +9,11 @@
 //     the group's members clears a threshold, otherwise (and for unmatched
 //     cells) it is unicast to exactly the interested subscribers.
 //
-//   * No-Loss (Fig. 6): stab the group-rectangle index with the event; of
-//     the areas containing it pick the one with the greatest weight,
-//     multicast to u(s), and unicast to interested subscribers outside
-//     u(s).  By construction no group member is uninterested.
+//   * No-Loss (Fig. 6): scan the K group areas in rank order (the paper's
+//     search list A); of the areas containing the event pick the one with
+//     the greatest weight, multicast to u(s), and unicast to interested
+//     subscribers outside u(s).  By construction no group member is
+//     uninterested.
 //
 // Matchers decide *who* gets the message and *how*; delivery cost is
 // computed by sim/delivery.h from the decision.
@@ -26,7 +27,6 @@
 #include "core/grid.h"
 #include "core/match_scratch.h"
 #include "core/noloss.h"
-#include "index/rtree.h"
 #include "obs/metrics.h"
 #include "workload/types.h"
 
@@ -108,6 +108,11 @@ class GridMatcher {
 // rank group *selection* by expected savings p_p(s)·(|u(s)|−1) and pick
 // the containing area with the most members.  The paper-literal behaviour
 // is available through the options (bench_ablation compares them).
+//
+// Pick rule: match() scans the K selected areas in rank order (group id
+// order, as ranked by the selection rule) with Rect::contains and keeps
+// the first best under the pick rule, so a tie goes to the higher-ranked
+// area.
 struct NoLossMatcherOptions {
   enum class Selection { kSavings, kWeight };
   enum class Pick { kMembers, kWeight };
@@ -139,7 +144,6 @@ class NoLossMatcher {
  private:
   std::vector<NoLossGroup> groups_;
   std::vector<std::vector<SubscriberId>> members_;
-  RTree rect_index_;
   NoLossMatcherOptions options_;
   Counter* c_lookups_ = nullptr;
   Counter* c_areas_hit_ = nullptr;

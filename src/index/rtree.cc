@@ -125,56 +125,6 @@ RTree RTree::BulkLoad(std::vector<std::pair<Rect, int>> items, std::size_t max_e
   return tree;
 }
 
-void RTree::stab(const Point& p, std::vector<int>& out) const {
-  if (!root_) return;
-  std::vector<const Node*> stack{root_.get()};
-  while (!stack.empty()) {
-    const Node* node = stack.back();
-    stack.pop_back();
-    if (!node->mbr.contains(p)) continue;
-    if (node->leaf) {
-      for (const Node::LeafEntry& e : node->entries)
-        if (e.rect.contains(p)) out.push_back(e.id);
-    } else {
-      for (const auto& c : node->children) stack.push_back(c.get());
-    }
-  }
-}
-
-void RTree::stab(const Point& p, std::vector<int>& out,
-                 std::vector<const void*>& stack) const {
-  if (!root_) return;
-  stack.clear();
-  stack.push_back(root_.get());
-  while (!stack.empty()) {
-    const Node* node = static_cast<const Node*>(stack.back());
-    stack.pop_back();
-    if (!node->mbr.contains(p)) continue;
-    if (node->leaf) {
-      for (const Node::LeafEntry& e : node->entries)
-        if (e.rect.contains(p)) out.push_back(e.id);
-    } else {
-      for (const auto& c : node->children) stack.push_back(c.get());
-    }
-  }
-}
-
-void RTree::intersecting(const Rect& r, std::vector<int>& out) const {
-  if (!root_) return;
-  std::vector<const Node*> stack{root_.get()};
-  while (!stack.empty()) {
-    const Node* node = stack.back();
-    stack.pop_back();
-    if (!node->mbr.intersects(r)) continue;
-    if (node->leaf) {
-      for (const Node::LeafEntry& e : node->entries)
-        if (e.rect.intersects(r)) out.push_back(e.id);
-    } else {
-      for (const auto& c : node->children) stack.push_back(c.get());
-    }
-  }
-}
-
 void RTree::containing(const Rect& r, std::vector<int>& out) const {
   if (!root_) return;
   std::vector<const Node*> stack{root_.get()};

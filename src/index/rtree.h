@@ -1,28 +1,31 @@
 // Packed R-tree over axis-aligned rectangles (Guttman 1984), built by the
 // Sort-Tile-Recursive bulk loading of Leutenegger et al. [10].
 //
-// This is the matching substrate of §4.6 for static rectangle sets: the
-// No-Loss clustering, `NoLossMatcher` and `DeliverySimulator::interested()`
-// (whose traversal order the §5 tables are pinned to) index their
-// rectangles once, and each published event issues a point-stabbing query.
-// A tree is never modified after `BulkLoad`; the broker's churn-maintained
-// index is the lattice index (index/lattice_index.h).
+// It answers one query: the stored rectangles that contain a query
+// rectangle.  That is the No-Loss clustering's u(s) (core/noloss.h, §4.5),
+// the subscribers interested in every event of a candidate area s.  Event
+// points are matched elsewhere: exact interested sets on the lattice
+// (index/lattice_index.h), and the No-Loss group pick by a scan of the
+// matcher's K ranked areas (core/matching.h).  A tree is never modified
+// after `BulkLoad`.
 //
 // All stored rectangles must be finite and non-empty.
 #pragma once
 
+#include <cstddef>
 #include <memory>
+#include <utility>
 #include <vector>
 
-#include "index/spatial_index.h"
+#include "geometry/rect.h"
 
 namespace pubsub {
 
-class RTree final : public SpatialIndex {
+class RTree {
  public:
   // An empty tree.  A node holds at most max_entries children.
   explicit RTree(std::size_t max_entries = 8);
-  ~RTree() override;
+  ~RTree();
   RTree(RTree&&) noexcept;
   RTree& operator=(RTree&&) noexcept;
   RTree(const RTree&) = delete;
@@ -32,20 +35,11 @@ class RTree final : public SpatialIndex {
   static RTree BulkLoad(std::vector<std::pair<Rect, int>> items,
                         std::size_t max_entries = 8);
 
-  std::size_t size() const override { return size_; }
+  std::size_t size() const { return size_; }
 
-  using SpatialIndex::containing;
-  using SpatialIndex::intersecting;
-  using SpatialIndex::stab;
-  void stab(const Point& p, std::vector<int>& out) const override;
-  // Allocation-free stab for the publish hot path: the traversal runs on
-  // the caller's reusable stack (cleared on entry; type-erased because Node
-  // is private).  Hits append to `out` in the same order as the
-  // two-argument overload.
-  void stab(const Point& p, std::vector<int>& out,
-            std::vector<const void*>& stack) const;
-  void intersecting(const Rect& r, std::vector<int>& out) const override;
-  void containing(const Rect& r, std::vector<int>& out) const override;
+  // Append to `out` the ids of stored rectangles that contain r entirely,
+  // in traversal order (deterministic, not sorted).
+  void containing(const Rect& r, std::vector<int>& out) const;
 
   // Tree height (0 for an empty tree, 1 for a single leaf).
   int height() const;

@@ -650,7 +650,9 @@ JournalRecord ParseJournalRecordLine(LineReader& r, const std::string& line,
     rec.cmd.point.reserve(dims);
     for (std::size_t d = 0; d < dims; ++d) {
       const double x = ParseDouble(r, toks[4 + d]);
-      if (!std::isfinite(x)) r.fail("non-finite event coordinate");
+      if (!EventSpace::is_lattice_coord(x))
+        r.fail("event coordinate is not a lattice value (a finite integer) '" +
+               toks[4 + d] + "'");
       rec.cmd.point.push_back(x);
     }
   } else {

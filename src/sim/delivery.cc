@@ -9,20 +9,16 @@ DeliverySimulator::DeliverySimulator(const Graph& network, const Workload& wl)
     : network_(&network), workload_(&wl), scratch_(network) {
   for (const Subscriber& s : wl.subscribers)
     network.check_node(s.node, "DeliverySimulator");
-  const Rect domain = wl.space.domain_rect();
   lattice_ = LatticeIndex(wl.space, wl.subscribers.size());
-  std::vector<std::pair<Rect, int>> items;
-  items.reserve(wl.subscribers.size());
-  for (std::size_t i = 0; i < wl.subscribers.size(); ++i) {
+  for (std::size_t i = 0; i < wl.subscribers.size(); ++i)
     lattice_.insert(static_cast<int>(i), wl.subscribers[i].interest);
-    const Rect r = wl.subscribers[i].interest.intersection(domain);
-    if (!r.empty()) items.emplace_back(r, static_cast<int>(i));
-  }
-  sub_index_ = RTree::BulkLoad(std::move(items));
 }
 
 std::vector<SubscriberId> DeliverySimulator::interested(const Point& p) const {
-  return sub_index_.stab(p);
+  std::vector<SubscriberId> out;
+  std::vector<std::uint64_t> tmp;
+  interested_into(p, out, tmp);
+  return out;
 }
 
 void DeliverySimulator::interested_into(const Point& p,

@@ -15,8 +15,8 @@
 //   * broadcast pays the publisher's full SPT.
 //
 // The simulator caches one shortest-path tree per publisher origin and
-// owns the two exact-match indexes over subscription rectangles: the R-tree
-// and the broker's lattice index.
+// owns the exact-match index over subscription rectangles: the broker's
+// lattice index, so every interested set is ascending.
 #pragma once
 
 #include <memory>
@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "core/matching.h"
-#include "index/rtree.h"
 #include "index/lattice_index.h"
 #include "net/graph.h"
 #include "net/multicast.h"
@@ -42,15 +41,13 @@ class DeliverySimulator {
   const Graph& network() const { return *network_; }
   const Workload& workload() const { return *workload_; }
 
-  // Exact interested subscribers for an event (R-tree stabbing query, in
-  // the tree's traversal order — the order the sim experiments are pinned
-  // to).
+  // Exact interested subscribers for an event: the lattice index's stab,
+  // in ascending id order (the broker's sorted-set convention).  Throws
+  // std::invalid_argument unless `p` is a lattice point
+  // (EventSpace::check_lattice_point).
   std::vector<SubscriberId> interested(const Point& p) const;
-  // Batch-phase kernel: the same set via the lattice index, emitted in
-  // ascending id order (the broker's sorted-set convention) into `out`
-  // (cleared on entry).  `tmp` is the caller's reusable word buffer;
-  // steady-state calls are allocation-free.  Throws std::invalid_argument
-  // unless `p` is a lattice point (EventSpace::check_lattice_point).
+  // The same set into `out` (cleared on entry).  `tmp` is the caller's
+  // reusable word buffer; steady-state calls are allocation-free.
   void interested_into(const Point& p, std::vector<SubscriberId>& out,
                        std::vector<std::uint64_t>& tmp) const;
 
@@ -104,7 +101,6 @@ class DeliverySimulator {
 
   const Graph* network_;
   const Workload* workload_;
-  RTree sub_index_;
   LatticeIndex lattice_;
   std::unordered_map<NodeId, ShortestPathTree> spt_cache_;
   std::unique_ptr<DistanceMatrix> dm_;  // built on first app-level query

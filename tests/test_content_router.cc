@@ -5,11 +5,11 @@
 #include <algorithm>
 #include <set>
 
-#include "index/rtree.h"
 #include "net/multicast.h"
 #include "net/shortest_path.h"
 #include "net/spanning.h"
 #include "net/transit_stub.h"
+#include "sim/delivery.h"
 #include "sim/scenario.h"
 
 namespace pubsub {
@@ -114,18 +114,13 @@ TEST(ContentRouter, ExactCostEqualsPrunedTreeMulticast) {
   }
   PrunedSptCost pruner(tree_graph);
 
-  // Index for exact interested sets.
-  std::vector<std::pair<Rect, int>> items;
-  const Rect domain = s.workload.space.domain_rect();
-  for (std::size_t i = 0; i < s.workload.subscribers.size(); ++i)
-    items.emplace_back(s.workload.subscribers[i].interest.intersection(domain),
-                       static_cast<int>(i));
-  const RTree index = RTree::BulkLoad(std::move(items));
+  // Exact interested sets.
+  const DeliverySimulator sim(s.net.graph, s.workload);
 
   Rng rng(18);
   for (int trial = 0; trial < 40; ++trial) {
     const Publication pub = s.pub->sample(rng);
-    const std::vector<SubscriberId> interested = index.stab(pub.point);
+    const std::vector<SubscriberId> interested = sim.interested(pub.point);
     const RouteResult r = router.route(pub.origin, pub.point, interested);
     EXPECT_EQ(r.wasted_edges, 0);
 
@@ -151,17 +146,12 @@ TEST(ContentRouter, BoundsNeverMissAndNeverBeatExact) {
   bopt.summary = SummaryKind::kBounds;
   ContentRouter bounds(s.net.graph, s.workload, bopt);
 
-  std::vector<std::pair<Rect, int>> items;
-  const Rect domain = s.workload.space.domain_rect();
-  for (std::size_t i = 0; i < s.workload.subscribers.size(); ++i)
-    items.emplace_back(s.workload.subscribers[i].interest.intersection(domain),
-                       static_cast<int>(i));
-  const RTree index = RTree::BulkLoad(std::move(items));
+  const DeliverySimulator sim(s.net.graph, s.workload);
 
   Rng rng(6);
   for (int trial = 0; trial < 40; ++trial) {
     const Publication pub = s.pub->sample(rng);
-    const std::vector<SubscriberId> interested = index.stab(pub.point);
+    const std::vector<SubscriberId> interested = sim.interested(pub.point);
 
     std::vector<NodeId> reached;
     const RouteResult rb = bounds.route(pub.origin, pub.point, interested, &reached);

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
@@ -35,19 +34,15 @@ struct StarFixture {
 TEST(DeliverySimulator, InterestedUsesExactMatching) {
   StarFixture f;
   DeliverySimulator sim(f.graph, f.wl);
-  auto sorted = [](std::vector<SubscriberId> v) {
-    std::sort(v.begin(), v.end());
-    return v;
-  };
-  EXPECT_EQ(sorted(sim.interested(Point{2.0})), (std::vector<SubscriberId>{0, 1, 3}));
-  EXPECT_EQ(sorted(sim.interested(Point{7.0})), (std::vector<SubscriberId>{1, 2, 3}));
-  EXPECT_EQ(sorted(sim.interested(Point{4.0})),
-            (std::vector<SubscriberId>{0, 1, 2, 3}));
+  EXPECT_EQ(sim.interested(Point{2.0}), (std::vector<SubscriberId>{0, 1, 3}));
+  EXPECT_EQ(sim.interested(Point{7.0}), (std::vector<SubscriberId>{1, 2, 3}));
+  EXPECT_EQ(sim.interested(Point{4.0}), (std::vector<SubscriberId>{0, 1, 2, 3}));
 }
 
-// The batch kernel stabs the lattice index: the R-tree's set in ascending
-// order at every lattice value, nothing outside the domain, and a refusal
-// of any coordinate that is not a finite integer.
+// Both read paths stab the lattice index: at every lattice value the
+// ascending set of subscribers whose domain-clipped interest contains the
+// point, nothing outside the domain, and a refusal of any coordinate that
+// is not a finite integer.
 TEST(DeliverySimulator, InterestedIntoIsTheSortedExactSet) {
   StarFixture f;
   Subscriber half;  // sub 4: holds 3, 4 and 5
@@ -59,22 +54,28 @@ TEST(DeliverySimulator, InterestedIntoIsTheSortedExactSet) {
   gone.interest = Rect({Interval()});
   f.wl.subscribers.push_back(gone);
   DeliverySimulator sim(f.graph, f.wl);
+  const Rect domain = f.wl.space.domain_rect();
   std::vector<SubscriberId> out;
   std::vector<std::uint64_t> tmp;
   for (int v = -2; v <= 11; ++v) {
     const Point p{static_cast<double>(v)};
-    std::vector<SubscriberId> want = sim.interested(p);
-    std::sort(want.begin(), want.end());
+    std::vector<SubscriberId> want;
+    for (std::size_t i = 0; i < f.wl.subscribers.size(); ++i)
+      if (f.wl.subscribers[i].interest.intersection(domain).contains(p))
+        want.push_back(static_cast<SubscriberId>(i));
+    EXPECT_EQ(sim.interested(p), want) << v;
     sim.interested_into(p, out, tmp);
     EXPECT_EQ(out, want) << v;
   }
   sim.interested_into(Point{5.0}, out, tmp);
   EXPECT_EQ(out, (std::vector<SubscriberId>{1, 2, 3, 4}));
   for (const double bad : {2.5, std::numeric_limits<double>::quiet_NaN(),
-                           std::numeric_limits<double>::infinity()})
+                           std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(sim.interested(Point{bad}), std::invalid_argument) << bad;
     EXPECT_THROW(sim.interested_into(Point{bad}, out, tmp),
                  std::invalid_argument)
         << bad;
+  }
 }
 
 TEST(DeliverySimulator, UnicastPaysPerSubscriberEvenOnSharedNodes) {

@@ -6,7 +6,6 @@
 
 #include "core/kmeans.h"
 #include "core/noloss.h"
-#include "index/spatial_index.h"
 #include "workload/publication_model.h"
 
 namespace pubsub {
@@ -242,6 +241,40 @@ TEST(NoLossMatcherTest, WeightSelectionSortsUnsortedPool) {
   for (int g = 0; g < by_savings.num_groups(); ++g)
     worst = std::min(worst, by_savings.group(g).savings());
   EXPECT_GT(worst, 4.0);
+}
+
+TEST(NoLossMatcherTest, TiesGoToTheHigherRankedArea) {
+  // Two areas hold the probe with equal member counts and equal weights;
+  // savings rank (3, 9] first.  The lower-ranked (1, 6] has the smaller
+  // centre, so a packed R-tree visits it first: the pick must follow the
+  // rank (the paper's list A), not an index's traversal order.
+  auto make_group = [](double lo, double hi, double mass,
+                       std::initializer_list<std::size_t> members) {
+    NoLossGroup g;
+    g.rect = Rect({Interval(lo, hi)});
+    g.subscribers = BitVector(3);
+    for (const std::size_t m : members) g.subscribers.set(m);
+    g.mass = mass;
+    g.weight = 1.2;
+    return g;
+  };
+  NoLossResult pool;
+  pool.groups.push_back(make_group(1, 6, 0.6, {1, 2}));  // savings 0.6
+  pool.groups.push_back(make_group(3, 9, 0.4, {0, 1}));  // savings 0.8
+
+  for (const auto pick : {NoLossMatcherOptions::Pick::kMembers,
+                          NoLossMatcherOptions::Pick::kWeight}) {
+    NoLossMatcherOptions options;
+    options.pick = pick;
+    const NoLossMatcher matcher(pool, 2, options);
+    ASSERT_EQ(matcher.num_groups(), 2);
+    EXPECT_EQ(matcher.group(0).rect, Rect({Interval(3, 9)}));
+    const std::vector<SubscriberId> interested{0, 1, 2};
+    const MatchDecision d = matcher.match(Point{5.0}, interested);
+    EXPECT_EQ(d.group_id, 0);
+    EXPECT_EQ(ToVec(d.group_members), (std::vector<SubscriberId>{0, 1}));
+    EXPECT_EQ(ToVec(d.unicast_targets), (std::vector<SubscriberId>{2}));
+  }
 }
 
 TEST(NoLossMatcherTest, UsesOnlyTopKGroups) {

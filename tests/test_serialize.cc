@@ -426,7 +426,10 @@ std::vector<JournalRecord> SampleJournal() {
   recs[3].cmd.type = BrokerCommandType::kPublish;
   recs[3].cmd.time_ms = 3.75;
   recs[3].cmd.node = 2;
-  recs[3].cmd.point = {1.25, 19.999999999999996};
+  // Publish coordinates are lattice values (the reader refuses any other);
+  // 2^53 − 1, the largest integer a double holds exactly, needs all 16
+  // digits to round-trip.
+  recs[3].cmd.point = {-3.0, 9007199254740991.0};
   return recs;
 }
 
@@ -601,6 +604,32 @@ TEST(Serialize, LenientJournalReadDropsOnlyTheTornTail) {
   gap[2].seq = 7;
   std::istringstream gap_is(JournalText(gap, 2));
   EXPECT_THROW(ReadJournalLenient(gap_is), JournalError);
+}
+
+// A publish off the lattice is a command the broker refuses, so the reader
+// refuses it too, at its own line and on both reads: the record is
+// terminated, so it is damage, never a torn tail.
+TEST(Serialize, JournalRejectsAnOffLatticePublishAtItsLine) {
+  const std::string text = "pubsub-journal v2\ndims 2\n" +
+                           Sealed("1 0.5 pub 3 1 4") +
+                           Sealed("2 0.5 pub 3 2.5 4");
+  for (const bool lenient : {false, true}) {
+    std::istringstream is(text);
+    try {
+      if (lenient) {
+        ReadJournalLenient(is);
+      } else {
+        ReadJournal(is);
+      }
+      ADD_FAILURE() << "expected a JournalError, lenient=" << lenient;
+    } catch (const JournalError& e) {
+      EXPECT_EQ(e.code(), JournalErrorCode::kMalformedRecord) << lenient;
+      EXPECT_EQ(e.line_no(), 4) << lenient;
+      EXPECT_NE(std::string(e.what()).find("[malformed-record] at line 4"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 FleetManifest SampleManifest() {
